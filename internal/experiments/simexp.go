@@ -47,11 +47,11 @@ func E5Placement() (*Result, error) {
 		"% constrained", "greedy s", "utilization-first s", "improvement %")
 	anyImprovement := false
 	for _, pct := range []int{10, 25, 50, 75} {
-		greedy, err := runPlacementSim(sched.GreedyBestFit{}, pct)
+		greedy, err := runPlacementSim(new(sched.GreedyBestFit), pct)
 		if err != nil {
 			return nil, err
 		}
-		utilFirst, err := runPlacementSim(sched.UtilizationFirst{}, pct)
+		utilFirst, err := runPlacementSim(new(sched.UtilizationFirst), pct)
 		if err != nil {
 			return nil, err
 		}
@@ -83,10 +83,6 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 	if err != nil {
 		return 0, err
 	}
-	byName := map[string]*sim.Machine{}
-	for _, m := range ms {
-		byName[m.Name()] = m
-	}
 	const nTasks = 20
 	const work = 10.0
 	nConstrained := nTasks * pctConstrained / 100
@@ -97,9 +93,9 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 	for i := 0; i < nTasks; i++ {
 		it := sched.Item{Task: taskgraph.TaskID(fmt.Sprintf("t%02d", i)), Work: work}
 		if i >= nTasks-nConstrained {
-			it.Candidates = []string{"A"}
+			it.CandidateIDs = []int{0} // A
 		} else {
-			it.Candidates = []string{"A", "b", "c", "d", "e"}
+			it.CandidateIDs = []int{0, 1, 2, 3, 4}
 		}
 		waiting = append(waiting, it)
 	}
@@ -112,7 +108,7 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 		var states []sched.MachineState
 		for _, m := range ms {
 			states = append(states, sched.MachineState{
-				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(),
+				Machine: m.Spec, Load: m.Load(), Slots: 1 - m.RemoteTasks(), Index: m.Index(),
 			})
 		}
 		placed, left := pol.Place(waiting, states)
@@ -129,7 +125,7 @@ func runPlacementSim(pol sched.Policy, pctConstrained int) (time.Duration, error
 					tryPlace()
 				},
 			}
-			if err := byName[a.Machine].AddTask(t); err != nil {
+			if err := ms[a.Index].AddTask(t); err != nil {
 				panic(err) // deterministic harness bug, not runtime state
 			}
 		}

@@ -123,14 +123,11 @@ type runArena struct {
 	// a slot a later placement round already spent.
 	inflight []int
 
-	// Candidate sets and the machine name index, stable across runs (the
-	// generated fleet's names and classes depend only on the spec).
-	machIdx     map[string]int
-	allNames    []string
-	allIDs      []int
-	pinnedNames []string
-	pinnedIDs   []int
-	pinnedFor   string
+	// Candidate sets as machine ids, stable across runs (the generated
+	// fleet's classes depend only on the spec).
+	allIDs    []int
+	pinnedIDs []int
+	pinnedFor string
 
 	// Cached event closures, allocated once per arena position and replayed
 	// by every subsequent cell: scheduling a cell's owner steps, arrivals
@@ -430,23 +427,14 @@ func (ar *runArena) ensureCluster(worldFresh bool) (rebuilt bool, err error) {
 	return true, nil
 }
 
-// ensureCandidates builds the placement candidate sets (names plus dense
-// machine ids, and the name→index lookup) once per fleet: the generated
-// machine names and classes depend only on the spec, so these survive both
-// run changes and cell changes.
+// ensureCandidates builds the placement candidate sets (dense machine ids)
+// once per fleet: the generated machine classes depend only on the spec, so
+// these survive both run changes and cell changes.
 func (ar *runArena) ensureCandidates(sp *Spec, rebuilt bool) error {
-	if rebuilt || len(ar.allNames) != len(ar.machines) {
-		ar.allNames = ar.allNames[:0]
+	if rebuilt || len(ar.allIDs) != len(ar.machines) {
 		ar.allIDs = ar.allIDs[:0]
-		if ar.machIdx == nil {
-			ar.machIdx = make(map[string]int, len(ar.machines))
-		} else {
-			clear(ar.machIdx)
-		}
-		for i, m := range ar.machines {
-			ar.allNames = append(ar.allNames, m.Name())
+		for _, m := range ar.machines {
 			ar.allIDs = append(ar.allIDs, m.Index())
-			ar.machIdx[m.Name()] = i
 		}
 		ar.pinnedFor = ""
 	}
@@ -455,11 +443,9 @@ func (ar *runArena) ensureCandidates(sp *Spec, rebuilt bool) error {
 		if err != nil {
 			return err
 		}
-		ar.pinnedNames = ar.pinnedNames[:0]
 		ar.pinnedIDs = ar.pinnedIDs[:0]
 		for _, m := range ar.machines {
 			if m.Spec.Class == class {
-				ar.pinnedNames = append(ar.pinnedNames, m.Name())
 				ar.pinnedIDs = append(ar.pinnedIDs, m.Index())
 			}
 		}

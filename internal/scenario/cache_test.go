@@ -137,7 +137,7 @@ func TestCancelledSweepResumesFromCache(t *testing.T) {
 	_, err := RunContext(ctx, sp, Options{
 		Workers: 4,
 		Cache:   cache,
-		Progress: func(Instance, int, Indexes) {
+		Progress: func(ProgressEvent) {
 			if fired.CompareAndSwap(false, true) {
 				cancel()
 			}

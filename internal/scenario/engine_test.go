@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"os"
@@ -42,14 +43,19 @@ func testSpec() *Spec {
 	}
 }
 
+// runSpec sweeps sp with the default options.
+func runSpec(sp *Spec) (*Report, error) {
+	return RunContext(context.Background(), sp, Options{})
+}
+
 // TestGoldenDeterminism is the reproducibility contract: the same spec and
 // seed produce bitwise-identical indexes, run after run.
 func TestGoldenDeterminism(t *testing.T) {
-	a, err := Run(testSpec(), nil)
+	a, err := runSpec(testSpec())
 	if err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	b, err := Run(testSpec(), nil)
+	b, err := runSpec(testSpec())
 	if err != nil {
 		t.Fatalf("second Run: %v", err)
 	}
@@ -61,13 +67,13 @@ func TestGoldenDeterminism(t *testing.T) {
 // TestSeedChangesOutcome guards against the opposite bug: a seed that is
 // silently ignored would make every "independent" run identical.
 func TestSeedChangesOutcome(t *testing.T) {
-	a, err := Run(testSpec(), nil)
+	a, err := runSpec(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := testSpec()
 	sp.Seed = 99999
-	b, err := Run(sp, nil)
+	b, err := runSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +84,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 
 func TestRunShape(t *testing.T) {
 	sp := testSpec()
-	rep, err := Run(sp, nil)
+	rep, err := runSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,19 +119,21 @@ func TestRunShape(t *testing.T) {
 	}
 }
 
+// TestRunInstanceMatchesRun: one cell run on its own, with a fresh world
+// and no arena, reproduces the sweep's indexes for that cell.
 func TestRunInstanceMatchesRun(t *testing.T) {
 	sp := testSpec()
-	rep, err := Run(sp, nil)
+	rep, err := runSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst := sp.Instances()[0]
-	idx, err := RunInstance(inst, 0)
+	idx, err := runInstance(context.Background(), inst, 0, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(idx, rep.Cells[0].Runs[0]) {
-		t.Errorf("RunInstance = %+v, Run cell = %+v", idx, rep.Cells[0].Runs[0])
+		t.Errorf("runInstance = %+v, sweep cell = %+v", idx, rep.Cells[0].Runs[0])
 	}
 }
 
@@ -155,7 +163,7 @@ func TestIndexTablePrecision(t *testing.T) {
 }
 
 func TestWriteArtifacts(t *testing.T) {
-	rep, err := Run(testSpec(), nil)
+	rep, err := runSpec(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

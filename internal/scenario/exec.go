@@ -11,17 +11,11 @@ import (
 	"vce/internal/obs"
 )
 
-// Progress reports engine progress to an observer (the CLI's live log). The
-// executor serializes invocations — the callback never runs concurrently
-// with itself and needs no locking — but under more than one worker the
-// invocation order is completion order, not cell/run order.
-type Progress func(inst Instance, run int, idx Indexes)
-
-// ProgressEvent is the richer per-run progress record delivered to
-// Options.ProgressV2: the Progress tuple plus execution provenance —
-// today, whether the run was replayed from the result cache or actually
-// simulated, which the live log needs to tell a warm sweep from a cold
-// one.
+// ProgressEvent is the per-run progress record delivered to
+// Options.Progress: the completed run's position and indexes plus
+// execution provenance — whether the run was replayed from the result
+// cache or actually simulated, which the live log needs to tell a warm
+// sweep from a cold one.
 type ProgressEvent struct {
 	Instance Instance
 	Run      int
@@ -78,14 +72,13 @@ type Options struct {
 	// ran, since cancellation may stop earlier grid positions from ever
 	// starting.
 	ContinueOnError bool
-	// Progress observes completed runs; may be nil. See Progress. Cached
-	// results report progress too — a warm sweep replays the same
-	// callback sequence a cold one produces.
-	Progress Progress
-	// ProgressV2 observes completed runs with the full ProgressEvent
-	// (notably the cache-hit provenance). Serialized exactly like
-	// Progress; both callbacks fire when both are set. May be nil.
-	ProgressV2 func(ProgressEvent)
+	// Progress observes completed runs (the CLI's live log); may be nil.
+	// The executor serializes invocations — the callback never runs
+	// concurrently with itself and needs no locking — but under more than
+	// one worker the invocation order is completion order, not cell/run
+	// order. Cached results report progress too — a warm sweep replays the
+	// same callback sequence a cold one produces, with Cached set.
+	Progress func(ProgressEvent)
 	// Telemetry, when non-nil, records the sweep into the observability
 	// recorder (internal/obs): one span per (instance, run) cell with
 	// queue-wait / setup / simulate / measure attribution and kernel
@@ -106,11 +99,13 @@ type Options struct {
 	// contract and the EngineVersion stamp. Cache errors degrade to
 	// recomputation — they never fail the sweep.
 	Cache Store
-	// Audit attaches the engine invariant auditor to every run (see
-	// RunInstanceAudited): any conservation-of-work or virtual-time
-	// violation fails that run with an *AuditError. Audit disables Cache
-	// for the sweep — a cache hit skips exactly the simulation the audit
-	// exists to watch.
+	// Audit attaches the engine invariant auditor (sim.AttachAuditor) to
+	// every run: virtual-time monotonicity, conservation of work and
+	// per-task progress sanity are re-derived event by event, and any
+	// violation fails that run with an *AuditError. The auditor observes
+	// without perturbing, so a clean audited run yields the same indexes.
+	// Audit disables Cache for the sweep — a cache hit skips exactly the
+	// simulation the audit exists to watch.
 	Audit bool
 	// FreshWorlds disables the per-worker run arena: every cell builds its
 	// world and simulation substrate from scratch instead of recycling the
@@ -135,14 +130,6 @@ type outcome struct {
 	idx       Indexes
 	err       error
 	cached    bool
-}
-
-// Run executes every instance of the spec for the configured number of runs
-// and returns the aggregated report. progress may be nil. It is the
-// serial-era signature kept for convenience: one worker per available CPU,
-// fail-fast, no cancellation.
-func Run(spec *Spec, progress Progress) (*Report, error) {
-	return RunContext(context.Background(), spec, Options{Progress: progress})
 }
 
 // RunContext executes the sweep under a context with explicit options: a
@@ -337,10 +324,7 @@ func RunContext(ctx context.Context, spec *Spec, opts Options) (*Report, error) 
 		done++
 		got[out.cell][out.run] = &out.idx
 		if opts.Progress != nil {
-			opts.Progress(insts[out.cell], out.run, out.idx)
-		}
-		if opts.ProgressV2 != nil {
-			opts.ProgressV2(ProgressEvent{
+			opts.Progress(ProgressEvent{
 				Instance: insts[out.cell], Run: out.run,
 				Indexes: out.idx, Cached: out.cached,
 			})

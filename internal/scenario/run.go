@@ -90,15 +90,8 @@ const (
 // event loop promptly, few enough that probes are noise in the event count.
 const cancelProbes = 256
 
-// RunInstance executes one instance for one run index and returns its
-// indexes. It is deterministic: equal (spec, instance, run) yield equal
-// indexes.
-func RunInstance(inst Instance, run int) (Indexes, error) {
-	return RunInstanceContext(context.Background(), inst, run)
-}
-
 // AuditError reports engine-invariant violations recorded by an audited run
-// (see RunInstanceAudited and Options.Audit).
+// (see Options.Audit).
 type AuditError struct {
 	// Instance and Run locate the violating cell.
 	Instance string
@@ -120,30 +113,19 @@ func (e *AuditError) Error() string {
 	return msg
 }
 
-// RunInstanceAudited is RunInstanceContext with the engine invariant auditor
-// attached to the run's kernel (sim.AttachAuditor): virtual-time
-// monotonicity, conservation of work and per-task progress sanity are
-// re-derived event by event, and any violation fails the run with an
-// *AuditError. The auditor observes without perturbing, so a clean audited
-// run returns indexes bitwise-identical to RunInstanceContext.
-func RunInstanceAudited(ctx context.Context, inst Instance, run int) (Indexes, error) {
-	return runInstance(ctx, inst, run, true, nil, nil)
-}
-
-// RunInstanceContext is RunInstance under a context: a cancelled or expired
-// ctx halts the discrete-event loop at the next probe tick and returns
-// ctx's error. The instance builds a fully isolated world — its own
-// event kernel, cluster, machines, policies and derived random streams —
-// so concurrent calls share no mutable state and the executor can fan
-// (instance, run) cells out across goroutines. An uncancelled ctx yields
-// indexes bitwise-identical to RunInstance: the probe events observe the
-// simulation without mutating it or consuming random draws.
-func RunInstanceContext(ctx context.Context, inst Instance, run int) (Indexes, error) {
-	return runInstance(ctx, inst, run, false, nil, nil)
-}
-
-// runInstance is the shared body of RunInstanceContext and
-// RunInstanceAudited. A non-nil tr attaches run telemetry: wall-clock
+// runInstance executes one instance for one run index and returns its
+// indexes. It is deterministic: equal (spec, instance, run) yield equal
+// indexes. Each call owns its world — event kernel, cluster, machines,
+// policies and derived random streams — so concurrent calls on distinct
+// arenas share no mutable state and the executor can fan (instance, run)
+// cells out across goroutines.
+//
+// A cancelled or expired ctx halts the discrete-event loop at the next
+// probe tick and returns ctx's error; the probes observe the simulation
+// without mutating it or consuming random draws, so an uncancelled ctx
+// yields the same indexes as context.Background. With audit the engine
+// invariant auditor watches the run (see Options.Audit) and violations
+// return an *AuditError. A non-nil tr attaches run telemetry: wall-clock
 // phase attribution (setup / simulate / measure) plus the kernel's
 // traffic counters, recorded into tr for the executor to fold into the
 // sweep recorder. Telemetry only observes — with tr == nil (the default
@@ -303,23 +285,22 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 
 	// ---- scheduling loop ----
 	// Portable tasks accept every machine; constrained tasks only their
-	// pinned class. Candidate sets carry both names and Machine.Index ids
-	// (same order) so the placement policies take their hash-free path; the
-	// sets live in the arena because the generated fleet's names and classes
-	// are spec-determined, stable across cells and runs.
+	// pinned class. Candidate sets are Machine.Index ids; they live in the
+	// arena because the generated fleet's classes are spec-determined,
+	// stable across cells and runs.
 	slots := ar.slots
-	candsFor := func(i int) ([]string, []int) {
+	candsFor := func(i int) []int {
 		if ar.gens[i].constrained {
-			return ar.pinnedNames, ar.pinnedIDs
+			return ar.pinnedIDs
 		}
-		return ar.allNames, ar.allIDs
+		return ar.allIDs
 	}
-	// newItem builds the placement-queue entry for task i: every enqueue
-	// site (submission, race requeue, fault requeue, transfer bounce) goes
-	// through it so the data-affinity site always rides along.
+	// newItem builds the placement-queue entry for task i. Submission, race
+	// requeue and transfer bounce go through it so the data-affinity site
+	// rides along; fault requeue builds its own Item (see failHook), which
+	// carries no HomeSite.
 	newItem := func(i int, work float64) sched.Item {
-		cands, ids := candsFor(i)
-		it := sched.Item{Task: taskgraph.TaskID(ar.gens[i].id), Candidates: cands, CandidateIDs: ids, Work: work}
+		it := sched.Item{Task: taskgraph.TaskID(ar.gens[i].id), CandidateIDs: candsFor(i), Work: work}
 		if dag && topo != nil && ar.homeSite[i] >= 0 {
 			it.HomeSite = int(ar.homeSite[i]) + 1
 		}
@@ -428,10 +409,7 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 			for _, a := range placed {
 				ti := ar.taskIdx[string(a.Task)]
 				t := ar.taskAt(ti)
-				hi, ok := ar.machIdx[a.Machine]
-				if !ok {
-					continue
-				}
+				hi := a.Index
 				if delay := stageDelay(ti, hi); delay > 0 {
 					// Dependency data must cross the network first: hold the
 					// slot and deliver the task when the transfer lands.
@@ -647,10 +625,10 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 				idx.Failed++
 				// Restart from the last checkpoint (scratch if none).
 				_ = killed.Rewind(killed.CheckpointedWork)
-				cands, ids := candsFor(ar.taskIdx[killed.ID])
 				waiting = append(waiting, sched.Item{
-					Task: taskgraph.TaskID(killed.ID), Candidates: cands,
-					CandidateIDs: ids, Work: killed.Remaining(),
+					Task:         taskgraph.TaskID(killed.ID),
+					CandidateIDs: candsFor(ar.taskIdx[killed.ID]),
+					Work:         killed.Remaining(),
 				})
 			}
 			m.SetLocalLoad(1)

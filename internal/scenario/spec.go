@@ -328,10 +328,9 @@ func MigrationNames() []string {
 	return []string{"none", "suspend", "address-space", "checkpoint", "recompile", "adaptive"}
 }
 
-// newSchedPolicy resolves a scheduling policy name. The New constructors
-// return scratch-carrying policies: one cell's placement rounds run
-// serially over one policy value, so repeated Place calls recycle their
-// round buffers instead of allocating.
+// newSchedPolicy resolves a scheduling policy name to a fresh policy. One
+// cell's placement rounds run serially over one policy, so repeated Place
+// calls recycle its round buffers instead of allocating.
 func newSchedPolicy(name string) (sched.Policy, error) {
 	switch name {
 	case "greedy-best-fit":

@@ -1,6 +1,6 @@
 package sched
 
-import "math"
+import "slices"
 
 // Locality is the topology-aware placement policy: the load-balancing triad
 // of the distributed-FaaS literature (place local, forward to a nearby node
@@ -11,43 +11,38 @@ import "math"
 //   - An item with a free machine at its home site places there (best
 //     speed/load score within the site).
 //   - With the home site full, the item waits for a local slot while the
-//     site's backlog is at most Threshold items — betting a short wait beats
-//     moving the data.
-//   - Past Threshold the item forwards: it takes the free candidate machine
+//     site's backlog is at most localityForwardAfter items — betting a
+//     short wait beats moving the data.
+//   - Past that the item forwards: it takes the free candidate machine
 //     whose site has the cheapest transfer cost from home (score breaks
 //     ties), accepting the data movement to shed the hot spot.
-//   - With no free machine anywhere and the site's backlog past RejectCap,
-//     the item is dropped — removed from both outputs and reported through
-//     Dropped, the backpressure signal open workloads need.
+//   - With no free machine anywhere and the site's backlog past
+//     localityRejectAfter, the item is dropped — removed from both outputs
+//     and reported through Dropped, the backpressure signal open workloads
+//     need.
 //
 // Items without a home site (HomeSite == 0), and every item when no topology
 // was configured, place greedily like GreedyBestFit — so the policy is
-// comparable to the reactive baselines on topology-free scenarios.
+// comparable to the reactive baselines on topology-free scenarios. The zero
+// value is ready to use.
 type Locality struct {
-	// Threshold is the per-site backlog tolerated before items forward
-	// away from their home site (0 means the default of 2).
-	Threshold int
-	// RejectCap is the per-site backlog beyond which an unplaceable item
-	// is dropped instead of queued (0 means the default of 128).
-	RejectCap int
-
-	scratch *placeScratch
+	round
 	siteOf  []int
 	cost    [][]float64
 	backlog []int
 	dropped []Item
 }
 
-// Default pressure bounds: forward after a couple of waiters, reject only
-// under pathological backlog.
+// Pressure bounds: forward after a couple of waiters, reject only under
+// pathological backlog.
 const (
-	defaultLocalityThreshold = 2
-	defaultLocalityRejectCap = 128
+	localityForwardAfter = 2
+	localityRejectAfter  = 128
 )
 
-// NewLocality returns the policy with reusable round scratch; see
-// NewGreedyBestFit. Configure the site map with SetTopology.
-func NewLocality() *Locality { return &Locality{scratch: new(placeScratch)} }
+// NewLocality returns a new policy; new(Locality) is the same. Configure
+// the site map with SetTopology.
+func NewLocality() *Locality { return new(Locality) }
 
 // Name implements Policy.
 func (*Locality) Name() string { return "locality" }
@@ -66,130 +61,34 @@ func (l *Locality) SetTopology(siteOf []int, cost [][]float64) {
 // pressure, in submission order. The slice is valid until the next Place.
 func (l *Locality) Dropped() []Item { return l.dropped }
 
-// localityScan accumulates one item's candidate scan without per-item
-// closures: the best free machine at the home site, and the best forwarding
-// target (cheapest transfer cost from home, then score; first seen wins
-// ties, so candidate order is the final tie-breaker).
-type localityScan struct {
-	siteOf    []int
-	cost      []float64 // home site's cost row (nil: unknown costs)
-	home      int
-	local     *MachineState
-	localBest float64
-	fwd       *MachineState
-	fwdCost   float64
-	fwdBest   float64
-}
-
-func (s *localityScan) begin(home int, cost []float64) {
-	s.home, s.cost = home, cost
-	s.local, s.localBest = nil, -1
-	s.fwd, s.fwdCost, s.fwdBest = nil, math.MaxFloat64, -1
-}
-
-// site resolves a machine's site id, -1 when the index is outside the map.
-func (s *localityScan) site(ms *MachineState) int {
-	if ms.Index < 0 || ms.Index >= len(s.siteOf) {
-		return -1
-	}
-	return s.siteOf[ms.Index]
-}
-
-func (s *localityScan) consider(ms *MachineState) {
-	if ms == nil || ms.Slots <= 0 {
-		return
-	}
-	score := ms.Machine.Speed / (1 + ms.Load)
-	site := s.site(ms)
-	if site == s.home {
-		if score > s.localBest {
-			s.localBest, s.local = score, ms
-		}
-		return
-	}
-	c := math.MaxFloat64 // unknown site: a last-resort forwarding target
-	if s.cost != nil && site >= 0 && site < len(s.cost) {
-		c = s.cost[site]
-	}
-	if c < s.fwdCost || (c == s.fwdCost && score > s.fwdBest) {
-		s.fwdCost, s.fwdBest, s.fwd = c, score, ms
-	}
-}
-
 // Place implements Policy.
 func (l *Locality) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, l.scratch)
-	var cache candidateCache
-	placed, waiting := outBuffers(l.scratch, items, machines)
+	l.begin(machines)
 	l.dropped = l.dropped[:0]
-
-	threshold := l.Threshold
-	if threshold == 0 {
-		threshold = defaultLocalityThreshold
-	}
-	rejectCap := l.RejectCap
-	if rejectCap == 0 {
-		rejectCap = defaultLocalityRejectCap
-	}
 	nsites := len(l.cost)
-	if cap(l.backlog) < nsites {
-		l.backlog = make([]int, nsites)
-	}
-	l.backlog = l.backlog[:nsites]
-	for i := range l.backlog {
-		l.backlog[i] = 0
-	}
+	l.backlog = slices.Grow(l.backlog[:0], nsites)[:nsites]
+	clear(l.backlog)
 
-	sc := localityScan{siteOf: l.siteOf}
 	for _, it := range items {
 		home := it.HomeSite - 1
 		if l.siteOf == nil || home < 0 || home >= nsites {
 			// No topology or no affinity: greedy best fit.
-			best := pickBest(it, &round, &cache, false)
-			if best == nil {
-				waiting = append(waiting, it)
-				continue
-			}
-			best.Slots--
-			best.Load += loadIncrement(it, best.Machine)
-			placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
+			l.assign(it, l.pickBest(it, scan{}))
 			continue
 		}
-		var row []float64
-		if home < len(l.cost) {
-			row = l.cost[home]
-		}
-		sc.begin(home, row)
-		if ids := it.CandidateIDs; ids != nil {
-			for _, id := range ids {
-				sc.consider(round.byID(id))
-			}
-		} else {
-			for _, ms := range cache.resolve(it.Candidates, &round) {
-				sc.consider(ms)
-			}
-		}
-		best := sc.local
+		best := l.pickBest(it, scan{siteOf: l.siteOf, home: home})
 		if best == nil {
 			// Home site full: wait a little, forward under pressure.
 			l.backlog[home]++
-			if l.backlog[home] <= threshold {
-				waiting = append(waiting, it)
-				continue
+			if l.backlog[home] > localityForwardAfter {
+				best = l.pickBest(it, scan{siteOf: l.siteOf, home: home, forward: true, cost: l.cost[home]})
 			}
-			best = sc.fwd
-			if best == nil {
-				if l.backlog[home] > rejectCap {
-					l.dropped = append(l.dropped, it)
-				} else {
-					waiting = append(waiting, it)
-				}
+			if best == nil && l.backlog[home] > localityRejectAfter {
+				l.dropped = append(l.dropped, it)
 				continue
 			}
 		}
-		best.Slots--
-		best.Load += loadIncrement(it, best.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
+		l.assign(it, best)
 	}
-	return placed, waiting
+	return l.end()
 }

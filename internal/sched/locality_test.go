@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"vce/internal/taskgraph"
@@ -28,26 +29,24 @@ func twoSiteWorld() ([]MachineState, []int, [][]float64) {
 	return machines, siteOf, cost
 }
 
-func names(machines []MachineState) ([]string, []int) {
-	var n []string
+func ids(machines []MachineState) []int {
 	var ids []int
 	for _, m := range machines {
-		n = append(n, m.Machine.Name)
 		ids = append(ids, m.Index)
 	}
-	return n, ids
+	return ids
 }
 
-func item(id string, home int, cands []string, ids []int) Item {
-	return Item{Task: taskgraph.TaskID(id), Candidates: cands, CandidateIDs: ids, Work: 10, HomeSite: home}
+func item(id string, home int, ids []int) Item {
+	return Item{Task: taskgraph.TaskID(id), CandidateIDs: ids, Work: 10, HomeSite: home}
 }
 
 func TestLocalityPrefersHomeSite(t *testing.T) {
 	machines, siteOf, cost := twoSiteWorld()
-	cands, ids := names(machines)
+	all := ids(machines)
 	l := NewLocality()
 	l.SetTopology(siteOf, cost)
-	placed, waiting := l.Place([]Item{item("t0", 1, cands, ids)}, machines)
+	placed, waiting := l.Place([]Item{item("t0", 1, all)}, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
 		t.Fatalf("placed %d waiting %d, want 1/0", len(placed), len(waiting))
 	}
@@ -59,15 +58,14 @@ func TestLocalityPrefersHomeSite(t *testing.T) {
 
 func TestLocalityWaitsThenForwards(t *testing.T) {
 	machines, siteOf, cost := twoSiteWorld()
-	cands, ids := names(machines)
+	all := ids(machines)
 	l := NewLocality()
-	l.Threshold = 2
 	l.SetTopology(siteOf, cost)
 	// Five site-0 items against two site-0 slots: two place locally, two
-	// wait under the threshold, the fifth forwards to site 1.
+	// wait (the tolerated backlog is two), the fifth forwards to site 1.
 	var items []Item
 	for _, id := range []string{"t0", "t1", "t2", "t3", "t4"} {
-		items = append(items, item(id, 1, cands, ids))
+		items = append(items, item(id, 1, all))
 	}
 	placed, waiting := l.Place(items, machines)
 	if len(placed) != 3 || len(waiting) != 2 {
@@ -87,28 +85,26 @@ func TestLocalityRejectsPastCap(t *testing.T) {
 	for i := range machines {
 		machines[i].Slots = 0 // nothing free anywhere
 	}
-	cands, ids := names(machines)
+	all := ids(machines)
 	l := NewLocality()
-	l.Threshold = 1
-	l.RejectCap = 3
 	l.SetTopology(siteOf, cost)
 	var items []Item
-	for _, id := range []string{"t0", "t1", "t2", "t3", "t4"} {
-		items = append(items, item(id, 1, cands, ids))
+	for i := 0; i < localityRejectAfter+2; i++ {
+		items = append(items, item(fmt.Sprintf("t%03d", i), 1, all))
 	}
 	placed, waiting := l.Place(items, machines)
 	if len(placed) != 0 {
 		t.Fatalf("placed %d with zero slots", len(placed))
 	}
-	// Backlog 1..3 wait (cap 3), 4 and 5 drop.
-	if len(waiting) != 3 {
-		t.Fatalf("waiting %d, want 3", len(waiting))
+	// Backlog 1..cap waits, the two past the cap drop.
+	if len(waiting) != localityRejectAfter {
+		t.Fatalf("waiting %d, want %d", len(waiting), localityRejectAfter)
 	}
 	dropped := l.Dropped()
 	if len(dropped) != 2 {
 		t.Fatalf("dropped %d, want 2", len(dropped))
 	}
-	if string(dropped[0].Task) != "t3" || string(dropped[1].Task) != "t4" {
+	if dropped[0].Task != items[len(items)-2].Task || dropped[1].Task != items[len(items)-1].Task {
 		t.Fatalf("dropped %v, want the last two offered", dropped)
 	}
 	// Conservation: every offered item is placed, waiting, or dropped.
@@ -119,9 +115,9 @@ func TestLocalityRejectsPastCap(t *testing.T) {
 
 func TestLocalityWithoutTopologyIsGreedy(t *testing.T) {
 	machines, _, _ := twoSiteWorld()
-	cands, ids := names(machines)
+	all := ids(machines)
 	l := NewLocality()
-	placed, _ := l.Place([]Item{item("t0", 1, cands, ids)}, machines)
+	placed, _ := l.Place([]Item{item("t0", 1, all)}, machines)
 	if len(placed) != 1 || placed[0].Machine != "b0" {
 		t.Fatalf("placed = %v, want greedy best fit on b0", placed)
 	}
@@ -129,10 +125,10 @@ func TestLocalityWithoutTopologyIsGreedy(t *testing.T) {
 
 func TestLocalityNoAffinityIsGreedy(t *testing.T) {
 	machines, siteOf, cost := twoSiteWorld()
-	cands, ids := names(machines)
+	all := ids(machines)
 	l := NewLocality()
 	l.SetTopology(siteOf, cost)
-	placed, _ := l.Place([]Item{item("t0", 0, cands, ids)}, machines)
+	placed, _ := l.Place([]Item{item("t0", 0, all)}, machines)
 	if len(placed) != 1 || placed[0].Machine != "b0" {
 		t.Fatalf("placed = %v, want greedy best fit on b0", placed)
 	}

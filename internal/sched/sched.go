@@ -7,6 +7,9 @@
 package sched
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -78,9 +81,9 @@ type MachineState struct {
 	// Slots is how many additional tasks this machine accepts in this
 	// placement round.
 	Slots int
-	// Index is an optional caller-assigned dense id (e.g. the simulator's
-	// Machine.Index). It powers the hash-free Item.CandidateIDs fast path;
-	// callers that don't use CandidateIDs can leave it zero.
+	// Index is the caller-assigned dense id that Item.CandidateIDs names
+	// (e.g. the simulator's Machine.Index). It is required: every state of
+	// a round must carry a distinct non-negative Index.
 	Index int
 
 	// scarce is UtilizationFirst's internal reservation count: waiting
@@ -92,18 +95,13 @@ type MachineState struct {
 type Item struct {
 	// Task is the owning task.
 	Task taskgraph.TaskID
-	// Instance distinguishes multiple copies of the same task.
-	Instance int
-	// Candidates lists admissible machine names (already filtered by
-	// requirements).
+	// Candidates is ignored by every policy. It is kept only so callers
+	// that still set it compile; CandidateIDs is the candidate list.
 	Candidates []string
-	// CandidateIDs optionally carries the same admissible machines as
-	// MachineState.Index values, in the same order as Candidates. When
-	// set (and the caller assigned unique Index values to its states),
-	// policies resolve candidates by array index instead of hashing names
-	// — the placement hot path of event-frequency callers like the
-	// scenario engine. Candidates must still be populated; both views
-	// must agree.
+	// CandidateIDs lists the admissible machines (already filtered by
+	// requirements) as MachineState.Index values. Ids naming no machine of
+	// the round are skipped, and among equal scores the earliest candidate
+	// wins.
 	CandidateIDs []int
 	// Work is the instance's expected work, used by cost heuristics.
 	Work float64
@@ -116,11 +114,11 @@ type Item struct {
 
 // Assignment binds a task instance to a machine.
 type Assignment struct {
-	// Task and Instance identify the placed item.
-	Task     taskgraph.TaskID
-	Instance int
-	// Machine is the chosen host.
+	// Task identifies the placed item.
+	Task taskgraph.TaskID
+	// Machine and Index are the chosen host's name and MachineState.Index.
 	Machine string
+	Index   int
 }
 
 // Policy places a batch of task instances onto machines.
@@ -131,97 +129,144 @@ type Policy interface {
 	// Implementations must not mutate items. The machines slice is the
 	// policy's working state for the round — Slots (and load estimates)
 	// are consumed in place as assignments are made, so callers that need
-	// the snapshot afterwards must pass a copy. Batch callers rebuild the
-	// snapshot per round anyway, and not copying keeps the per-event
-	// placement path allocation-lean.
+	// the snapshot afterwards must pass a copy. Both returned slices are
+	// policy-owned buffers: the assignments are valid until the next
+	// Place call, the waiting items until the one after, so a caller may
+	// feed the waiting output straight back in.
 	Place(items []Item, machines []MachineState) ([]Assignment, []Item)
 }
 
-// placeScratch is a policy's reusable round storage: the id-resolution
-// table, the ordering permutation, and the output buffers. Policies built
-// with their New constructors carry one and place rounds allocation-free in
-// steady state; zero-value policies (scratch == nil) allocate per round,
-// which is fine for one-shot callers.
+// round is a policy's reusable round storage: the Index table, the
+// placement order, and the output buffers. Each policy embeds one, so the
+// zero value and the New constructor build the same policy, which places
+// rounds allocation-free once its buffers have grown. A policy must not
+// place concurrently with itself.
 //
-// The output Item buffer is double-buffered because of how batch callers
+// The waiting buffer is double-buffered because of how batch callers
 // loop: round N's waiting output is round N+1's items input, so the policy
 // must never write an output over the slice it is still reading.
-// Assignments have no such feedback (callers consume them before the next
-// round), so one buffer suffices.
-type placeScratch struct {
+// Assignments have no such feedback, so one buffer suffices.
+type round struct {
 	byIndex []*MachineState
 	order   []int
 	placed  []Assignment
-	items   [2][]Item
+	waiting [2][]Item
 	flip    int
 }
 
-// outBuffers returns empty placed/waiting buffers for one round, reusing the
-// scratch's storage when present. Neither can outgrow its initial capacity
-// (placements are bounded by placeCap, waiting by the items offered), so the
-// returned headers stay backed by the scratch.
-func outBuffers(s *placeScratch, items []Item, machines []MachineState) ([]Assignment, []Item) {
-	pc := placeCap(items, machines)
-	if s == nil {
-		return make([]Assignment, 0, pc), make([]Item, 0, len(items))
+// begin opens a round over machines: it indexes them by Index and empties
+// the output buffers.
+func (r *round) begin(machines []MachineState) {
+	n := 0
+	for i := range machines {
+		n = max(n, machines[i].Index+1)
 	}
-	if cap(s.placed) < pc {
-		s.placed = make([]Assignment, 0, pc)
+	r.byIndex = slices.Grow(r.byIndex[:0], n)[:n]
+	clear(r.byIndex)
+	for i := range machines {
+		r.byIndex[machines[i].Index] = &machines[i]
 	}
-	s.flip ^= 1
-	if cap(s.items[s.flip]) < len(items) {
-		s.items[s.flip] = make([]Item, 0, len(items))
-	}
-	return s.placed[:0], s.items[s.flip][:0]
+	r.placed = r.placed[:0]
+	r.flip ^= 1
+	r.waiting[r.flip] = r.waiting[r.flip][:0]
 }
 
-// orderBuf returns an empty ordering buffer of capacity >= n from the
-// scratch, or a fresh one without it.
-func orderBuf(s *placeScratch, n int) []int {
-	if s == nil || cap(s.order) < n {
-		o := make([]int, 0, n)
-		if s != nil {
-			s.order = o
-		}
-		return o
+// end returns the round's assignments and waiting items.
+func (r *round) end() ([]Assignment, []Item) { return r.placed, r.waiting[r.flip] }
+
+// machine resolves a candidate id to its round state, nil when no machine
+// of the round carries that Index.
+func (r *round) machine(id int) *MachineState {
+	if uint(id) >= uint(len(r.byIndex)) {
+		return nil
 	}
-	return s.order[:0]
+	return r.byIndex[id]
+}
+
+// assign places it on ms, consuming a slot and raising the load estimate;
+// a nil ms leaves it waiting.
+func (r *round) assign(it Item, ms *MachineState) {
+	if ms == nil {
+		r.waiting[r.flip] = append(r.waiting[r.flip], it)
+		return
+	}
+	ms.Slots--
+	ms.Load += loadIncrement(it, ms.Machine)
+	r.placed = append(r.placed, Assignment{Task: it.Task, Machine: ms.Machine.Name, Index: ms.Index})
+}
+
+// scan narrows pickBest's candidate scan. The zero scan considers every
+// free candidate.
+type scan struct {
+	// skipReserved passes over machines holding scarce reservations
+	// (UtilizationFirst's flexible items).
+	skipReserved bool
+	// With siteOf set (indexed by MachineState.Index), only machines at
+	// site home are considered, or with forward only machines away from it;
+	// forward targets rank by cost[site] first, an unknown site last.
+	siteOf  []int
+	home    int
+	forward bool
+	cost    []float64
+}
+
+// pickBest returns the item's best candidate with a free slot among those
+// s admits: the lowest cost (always zero outside forward scans), then the
+// highest speed/(1+load) score. Full ties keep the earliest candidate. Nil
+// means no candidate qualifies.
+func (r *round) pickBest(it Item, s scan) *MachineState {
+	var best *MachineState
+	bestScore, bestCost := -1.0, 0.0
+	if s.forward {
+		bestCost = math.MaxFloat64
+	}
+	for _, id := range it.CandidateIDs {
+		ms := r.machine(id)
+		if ms == nil || ms.Slots <= 0 || s.skipReserved && ms.scarce > 0 {
+			continue
+		}
+		c := 0.0
+		if s.siteOf != nil {
+			site := -1
+			if id < len(s.siteOf) {
+				site = s.siteOf[id]
+			}
+			if (site == s.home) == s.forward {
+				continue
+			}
+			if s.forward {
+				c = math.MaxFloat64
+				if site >= 0 && site < len(s.cost) {
+					c = s.cost[site]
+				}
+			}
+		}
+		if score := ms.Machine.Speed / (1 + ms.Load); c < bestCost || c == bestCost && score > bestScore {
+			best, bestScore, bestCost = ms, score, c
+		}
+	}
+	return best
 }
 
 // GreedyBestFit optimizes each job in isolation: every item takes the
 // fastest, least-loaded admissible machine available. This is the baseline
 // §4.3 argues against — it will burn the uniquely-capable "machine A" on a
-// task that could run anywhere.
-//
-// The zero value is a valid policy that allocates its round state per Place
-// call; NewGreedyBestFit returns one with reusable scratch for
-// placement-per-event callers like the scenario engine.
-type GreedyBestFit struct{ scratch *placeScratch }
+// task that could run anywhere. The zero value is ready to use.
+type GreedyBestFit struct{ round }
 
-// NewGreedyBestFit returns the policy with reusable round scratch: repeated
-// Place calls share buffers instead of allocating. The returned value (and
-// its copies) must then not place concurrently with itself.
-func NewGreedyBestFit() GreedyBestFit { return GreedyBestFit{scratch: new(placeScratch)} }
+// NewGreedyBestFit returns a new policy; new(GreedyBestFit) is the same.
+func NewGreedyBestFit() *GreedyBestFit { return new(GreedyBestFit) }
 
 // Name implements Policy.
-func (GreedyBestFit) Name() string { return "greedy-best-fit" }
+func (*GreedyBestFit) Name() string { return "greedy-best-fit" }
 
 // Place implements Policy.
-func (p GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, p.scratch)
-	var cache candidateCache
-	placed, waiting := outBuffers(p.scratch, items, machines)
+func (p *GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
+	p.begin(machines)
 	for _, it := range items {
-		best := pickBest(it, &round, &cache, false)
-		if best == nil {
-			waiting = append(waiting, it)
-			continue
-		}
-		best.Slots--
-		best.Load += loadIncrement(it, best.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
+		p.assign(it, p.pickBest(it, scan{}))
 	}
-	return placed, waiting
+	return p.end()
 }
 
 // UtilizationFirst is the paper's policy: "tend to give preference to
@@ -233,274 +278,51 @@ func (p GreedyBestFit) Place(items []Item, machines []MachineState) ([]Assignmen
 // then avoid machines that are the unique hosts of still-waiting constrained
 // items, waiting instead if no other machine is free — the §4.3 example where
 // the portable task yields machine A and "should be made to wait" because it
-// "can be used to occupy a workstation if one becomes idle."
-//
-// Like GreedyBestFit, the zero value allocates per round and
-// NewUtilizationFirst returns the scratch-carrying variant.
-type UtilizationFirst struct{ scratch *placeScratch }
+// "can be used to occupy a workstation if one becomes idle." The zero value
+// is ready to use.
+type UtilizationFirst struct{ round }
 
-// NewUtilizationFirst returns the policy with reusable round scratch; see
-// NewGreedyBestFit.
-func NewUtilizationFirst() UtilizationFirst {
-	return UtilizationFirst{scratch: new(placeScratch)}
-}
+// NewUtilizationFirst returns a new policy; new(UtilizationFirst) is the
+// same.
+func NewUtilizationFirst() *UtilizationFirst { return new(UtilizationFirst) }
 
 // Name implements Policy.
-func (UtilizationFirst) Name() string { return "utilization-first" }
+func (*UtilizationFirst) Name() string { return "utilization-first" }
 
 // Place implements Policy.
-func (p UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
-	round := newRound(machines, p.scratch)
-	var cache candidateCache
+func (p *UtilizationFirst) Place(items []Item, machines []MachineState) ([]Assignment, []Item) {
+	p.begin(machines)
 	// A machine's scarce count tracks waiting constrained items for which
-	// it is the only candidate. Names absent from the snapshot are skipped
-	// as candidates anyway, so their demand can be dropped here. The same
-	// pass collects the distinct candidate-set sizes (almost always ≤ 2:
-	// one pinned class plus "any machine").
-	lenA, lenB := -1, -1 // distinct candidate-set sizes seen (at most two tracked)
-	moreSizes := false
-	for _, it := range items {
-		if len(it.Candidates) == 1 {
-			var ms *MachineState
-			if it.CandidateIDs != nil {
-				ms = round.byID(it.CandidateIDs[0])
-			} else {
-				ms = round.lookup(it.Candidates[0])
-			}
-			if ms != nil {
+	// it is the only candidate.
+	p.order = p.order[:0]
+	uniform := true
+	for i, it := range items {
+		if len(it.CandidateIDs) == 1 {
+			if ms := p.machine(it.CandidateIDs[0]); ms != nil {
 				ms.scarce++
 			}
 		}
-		switch n := len(it.Candidates); {
-		case lenA == -1 || n == lenA:
-			lenA = n
-		case lenB == -1 || n == lenB:
-			lenB = n
-		default:
-			moreSizes = true
-		}
+		uniform = uniform && len(it.CandidateIDs) == len(items[0].CandidateIDs)
+		p.order = append(p.order, i)
 	}
-	// Scarcest-capability first; ties keep submission order. With one
-	// distinct size the stable sort is the identity permutation; with two,
-	// a stable partition replaces the O(n log n) sort. More sizes fall back
-	// to sorting.
-	var order []int
-	switch {
-	case !moreSizes && lenB == -1:
-		// uniform: identity order
-	case !moreSizes:
-		small := lenA
-		if lenB < lenA {
-			small = lenB
-		}
-		order = orderBuf(p.scratch, len(items))
-		for i := range items {
-			if len(items[i].Candidates) == small {
-				order = append(order, i)
-			}
-		}
-		for i := range items {
-			if len(items[i].Candidates) != small {
-				order = append(order, i)
-			}
-		}
-	default:
-		order = orderBuf(p.scratch, len(items))[:len(items)]
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return len(items[order[a]].Candidates) < len(items[order[b]].Candidates)
+	// Scarcest-capability first; ties keep submission order.
+	if !uniform {
+		slices.SortStableFunc(p.order, func(a, b int) int {
+			return cmp.Compare(len(items[a].CandidateIDs), len(items[b].CandidateIDs))
 		})
 	}
-
-	placed, waiting := outBuffers(p.scratch, items, machines)
-	for pos := range items {
-		idx := pos
-		if order != nil {
-			idx = order[pos]
-		}
-		it := items[idx]
-		constrained := len(it.Candidates) == 1
+	for _, i := range p.order {
+		it := items[i]
+		constrained := len(it.CandidateIDs) == 1
 		// Flexible items skip machines reserved for tasks that can run
 		// nowhere else.
-		best := pickBest(it, &round, &cache, !constrained)
-		if best == nil {
-			waiting = append(waiting, it)
-			continue
-		}
-		if constrained {
+		best := p.pickBest(it, scan{skipReserved: !constrained})
+		if best != nil && constrained {
 			best.scarce--
 		}
-		best.Slots--
-		best.Load += loadIncrement(it, best.Machine)
-		placed = append(placed, Assignment{Task: it.Task, Instance: it.Instance, Machine: best.Machine.Name})
+		p.assign(it, best)
 	}
-	return placed, waiting
-}
-
-// roundState wraps the caller's machine states as the round's working set
-// (the Policy contract hands the slice to the policy; no defensive copy).
-// Name lookup is served by a map built lazily on first use: batch callers
-// that pass CandidateIDs or positionally aligned candidate sets never pay
-// for building it.
-type roundState struct {
-	backing []MachineState
-	byName  map[string]*MachineState
-	byIndex []*MachineState
-	scratch *placeScratch
-}
-
-func newRound(machines []MachineState, s *placeScratch) roundState {
-	return roundState{backing: machines, scratch: s}
-}
-
-// positional reports whether cands names the snapshot's machines in order.
-// Callers like the scenario engine build candidate lists straight from the
-// machine fleet, so the name strings share headers with the snapshot's and
-// the comparison is effectively pointer equality per entry.
-func (r *roundState) positional(cands []string) bool {
-	if len(cands) != len(r.backing) {
-		return false
-	}
-	for i := range cands {
-		if cands[i] != r.backing[i].Machine.Name {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *roundState) lookup(name string) *MachineState {
-	if r.byName == nil {
-		r.byName = make(map[string]*MachineState, len(r.backing))
-		for i := range r.backing {
-			r.byName[r.backing[i].Machine.Name] = &r.backing[i]
-		}
-	}
-	return r.byName[name]
-}
-
-// byID resolves a caller-assigned MachineState.Index to its snapshot entry,
-// nil when the id names no machine in this round. The index table is one
-// array fill — no hashing.
-func (r *roundState) byID(id int) *MachineState {
-	if r.byIndex == nil {
-		max := -1
-		for i := range r.backing {
-			if r.backing[i].Index > max {
-				max = r.backing[i].Index
-			}
-		}
-		if s := r.scratch; s != nil && cap(s.byIndex) >= max+1 {
-			r.byIndex = s.byIndex[:max+1]
-			for i := range r.byIndex {
-				r.byIndex[i] = nil
-			}
-		} else {
-			r.byIndex = make([]*MachineState, max+1)
-			if s != nil {
-				s.byIndex = r.byIndex
-			}
-		}
-		for i := range r.backing {
-			r.byIndex[r.backing[i].Index] = &r.backing[i]
-		}
-	}
-	if id < 0 || id >= len(r.byIndex) {
-		return nil
-	}
-	return r.byIndex[id]
-}
-
-// pickBest scans one item's candidates — by dense id when CandidateIDs is
-// set, by (cached) name resolution otherwise — and returns the
-// best-scoring machine with a free slot, nil when none qualifies. Equal
-// scores keep the earliest candidate, so candidate order is the
-// tie-breaker. With skipReserved, machines carrying scarce reservations
-// are passed over (UtilizationFirst's flexible items).
-func pickBest(it Item, round *roundState, cache *candidateCache, skipReserved bool) *MachineState {
-	var best *MachineState
-	bestScore := -1.0
-	consider := func(ms *MachineState) {
-		if ms == nil || ms.Slots <= 0 {
-			return
-		}
-		if skipReserved && ms.scarce > 0 {
-			return
-		}
-		score := ms.Machine.Speed / (1 + ms.Load)
-		if score > bestScore {
-			bestScore = score
-			best = ms
-		}
-	}
-	if ids := it.CandidateIDs; ids != nil {
-		for _, id := range ids {
-			consider(round.byID(id))
-		}
-	} else {
-		for _, ms := range cache.resolve(it.Candidates, round) {
-			consider(ms)
-		}
-	}
-	return best
-}
-
-// placeCap bounds how many assignments a round can produce: no more than
-// the items offered or the slots available.
-func placeCap(items []Item, machines []MachineState) int {
-	slots := 0
-	for i := range machines {
-		slots += machines[i].Slots
-	}
-	if slots > len(items) {
-		slots = len(items)
-	}
-	if slots < 0 {
-		slots = 0
-	}
-	return slots
-}
-
-// candidateCache memoizes the name→state resolution of recently seen
-// Candidates slices, keyed by slice identity. Batch callers (the scenario
-// engine, the experiment harnesses) reuse one slice header per candidate
-// class — typically "all machines" and one pinned subset, which may
-// interleave item-by-item — so two entries make resolution, the only string
-// hashing on the placement path, a once-per-class cost instead of
-// once-per-item×candidate. Unknown names resolve to nil and are skipped at
-// scoring time, exactly like the map-miss path they replace.
-type candidateCache struct {
-	entries [2]struct {
-		names []string
-		ms    []*MachineState
-	}
-}
-
-func (c *candidateCache) resolve(cands []string, r *roundState) []*MachineState {
-	if len(cands) == 0 {
-		return nil
-	}
-	for i := range c.entries {
-		e := &c.entries[i]
-		if len(e.names) == len(cands) && &e.names[0] == &cands[0] {
-			return e.ms
-		}
-	}
-	ms := make([]*MachineState, len(cands))
-	if r.positional(cands) {
-		for i := range ms {
-			ms[i] = &r.backing[i]
-		}
-	} else {
-		for i, n := range cands {
-			ms[i] = r.lookup(n)
-		}
-	}
-	c.entries[1] = c.entries[0]
-	c.entries[0].names, c.entries[0].ms = cands, ms
-	return ms
+	return p.end()
 }
 
 // loadIncrement estimates how much an item raises a machine's load, scaling

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,23 +77,32 @@ func TestSelectBestInsufficientIsAllocError(t *testing.T) {
 	}
 }
 
+// fleet gives each state its position as Index, the id items name in
+// CandidateIDs.
+func fleet(ms ...MachineState) []MachineState {
+	for i := range ms {
+		ms[i].Index = i
+	}
+	return ms
+}
+
 // machineAScenario reproduces §4.3's example: task "pinned" runs only on
 // machine A; task "portable" runs anywhere but fastest on machine A.
 func machineAScenario() ([]Item, []MachineState) {
 	items := []Item{
-		{Task: "portable", Candidates: []string{"A", "B"}, Work: 10},
-		{Task: "pinned", Candidates: []string{"A"}, Work: 10},
+		{Task: "portable", CandidateIDs: []int{0, 1}, Work: 10},
+		{Task: "pinned", CandidateIDs: []int{0}, Work: 10},
 	}
-	machines := []MachineState{
+	machines := fleet(
 		ws("A", 4, 0, 1), // fast, uniquely capable
 		ws("B", 1, 0, 1), // slow but universal
-	}
+	)
 	return items, machines
 }
 
 func TestUtilizationFirstSolvesMachineA(t *testing.T) {
 	items, machines := machineAScenario()
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	placed, waiting := new(UtilizationFirst).Place(items, machines)
 	got := map[taskgraph.TaskID]string{}
 	for _, a := range placed {
 		got[a.Task] = a.Machine
@@ -113,7 +123,7 @@ func TestGreedyBestFitBurnsMachineA(t *testing.T) {
 	// leaving the pinned task stranded — exactly the failure §4.3
 	// describes.
 	items, machines := machineAScenario()
-	placed, waiting := GreedyBestFit{}.Place(items, machines)
+	placed, waiting := new(GreedyBestFit).Place(items, machines)
 	got := map[taskgraph.TaskID]string{}
 	for _, a := range placed {
 		got[a.Task] = a.Machine
@@ -129,15 +139,14 @@ func TestGreedyBestFitBurnsMachineA(t *testing.T) {
 func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 	// One machine, demanded by a constrained task; the flexible task must
 	// wait even though the machine could host it ("the second job should
-	// be made to wait", §4.3).
+	// be made to wait", §4.3). Its other candidate (id 1) is not in the
+	// round.
 	items := []Item{
-		{Task: "flexible", Candidates: []string{"A"}, Work: 1},
-		{Task: "pinned", Candidates: []string{"A"}, Work: 1},
+		{Task: "flexible", CandidateIDs: []int{0, 1}, Work: 1},
+		{Task: "pinned", CandidateIDs: []int{0}, Work: 1},
 	}
-	// Both claim only A here; make flexible truly flexible:
-	items[0].Candidates = []string{"A", "Bgone"} // B not in machine set
-	machines := []MachineState{ws("A", 1, 0, 1)}
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	machines := fleet(ws("A", 1, 0, 1))
+	placed, waiting := new(UtilizationFirst).Place(items, machines)
 	if len(placed) != 1 || placed[0].Task != "pinned" {
 		t.Fatalf("placed = %v, want only pinned", placed)
 	}
@@ -147,9 +156,9 @@ func TestUtilizationFirstFlexibleWaitsWhenOnlyScarceMachineFree(t *testing.T) {
 }
 
 func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
-	items := []Item{{Task: "flexible", Candidates: []string{"A", "B"}, Work: 1}}
-	machines := []MachineState{ws("A", 4, 0, 1), ws("B", 1, 0, 1)}
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	items := []Item{{Task: "flexible", CandidateIDs: []int{0, 1}, Work: 1}}
+	machines := fleet(ws("A", 4, 0, 1), ws("B", 1, 0, 1))
+	placed, waiting := new(UtilizationFirst).Place(items, machines)
 	if len(waiting) != 0 || len(placed) != 1 {
 		t.Fatalf("placed=%v waiting=%v", placed, waiting)
 	}
@@ -160,15 +169,19 @@ func TestUtilizationFirstUsesScarceMachineWhenNoScarceDemand(t *testing.T) {
 
 func TestPlaceRespectsSlots(t *testing.T) {
 	items := []Item{
-		{Task: "t1", Candidates: []string{"A"}},
-		{Task: "t2", Candidates: []string{"A"}},
+		{Task: "t1", CandidateIDs: []int{3}},
+		{Task: "t2", CandidateIDs: []int{3}},
 	}
-	for _, pol := range []Policy{GreedyBestFit{}, UtilizationFirst{}} {
+	for _, pol := range []Policy{new(GreedyBestFit), new(UtilizationFirst), new(Locality)} {
 		// Fresh snapshot per policy: Place consumes the slice it is given.
 		machines := []MachineState{ws("A", 1, 0, 1)}
+		machines[0].Index = 3
 		placed, waiting := pol.Place(items, machines)
 		if len(placed) != 1 || len(waiting) != 1 {
 			t.Fatalf("%s: placed=%d waiting=%d, want 1/1", pol.Name(), len(placed), len(waiting))
+		}
+		if a := placed[0]; a.Machine != "A" || a.Index != 3 {
+			t.Fatalf("%s: assignment = %+v, want machine A at index 3", pol.Name(), a)
 		}
 	}
 }
@@ -178,37 +191,38 @@ func TestPlaceRespectsSlots(t *testing.T) {
 // Slots in place (callers needing the snapshot afterwards pass a copy).
 // Items, by contrast, must never be mutated.
 func TestPlaceConsumesMachineSlots(t *testing.T) {
-	items := []Item{{Task: "t", Candidates: []string{"A"}}}
-	machines := []MachineState{ws("A", 1, 0, 1)}
-	placed, _ := UtilizationFirst{}.Place(items, machines)
+	items := []Item{{Task: "t", CandidateIDs: []int{0}}}
+	machines := fleet(ws("A", 1, 0, 1))
+	placed, _ := new(UtilizationFirst).Place(items, machines)
 	if len(placed) != 1 {
 		t.Fatalf("placed = %d, want 1", len(placed))
 	}
 	if machines[0].Slots != 0 {
 		t.Fatalf("caller Slots = %d after placement, want 0 (consumed in place)", machines[0].Slots)
 	}
-	if items[0].Task != "t" || len(items[0].Candidates) != 1 {
+	if items[0].Task != "t" || len(items[0].CandidateIDs) != 1 {
 		t.Fatal("policy mutated caller's items")
 	}
 }
 
 func TestPlaceUnknownCandidateSkipped(t *testing.T) {
-	items := []Item{{Task: "t", Candidates: []string{"ghost"}}}
-	machines := []MachineState{ws("A", 1, 0, 1)}
-	placed, waiting := GreedyBestFit{}.Place(items, machines)
+	items := []Item{{Task: "t", CandidateIDs: []int{-1, 7}}}
+	machines := fleet(ws("A", 1, 0, 1))
+	placed, waiting := new(GreedyBestFit).Place(items, machines)
 	if len(placed) != 0 || len(waiting) != 1 {
 		t.Fatal("item with unknown candidates should wait")
 	}
 }
 
 func TestMultiInstancePlacementSpreads(t *testing.T) {
+	ids := []int{0, 1, 2}
 	items := []Item{
-		{Task: "mc", Instance: 0, Candidates: []string{"A", "B", "C"}},
-		{Task: "mc", Instance: 1, Candidates: []string{"A", "B", "C"}},
-		{Task: "mc", Instance: 2, Candidates: []string{"A", "B", "C"}},
+		{Task: "mc", CandidateIDs: ids},
+		{Task: "mc", CandidateIDs: ids},
+		{Task: "mc", CandidateIDs: ids},
 	}
-	machines := []MachineState{ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1)}
-	placed, waiting := UtilizationFirst{}.Place(items, machines)
+	machines := fleet(ws("A", 1, 0, 1), ws("B", 1, 0, 1), ws("C", 1, 0, 1))
+	placed, waiting := new(UtilizationFirst).Place(items, machines)
 	if len(placed) != 3 || len(waiting) != 0 {
 		t.Fatalf("placed=%d waiting=%d", len(placed), len(waiting))
 	}
@@ -218,6 +232,55 @@ func TestMultiInstancePlacementSpreads(t *testing.T) {
 	}
 	if len(used) != 3 {
 		t.Fatalf("instances piled up: %v", placed)
+	}
+}
+
+// TestPlaceSteadyStateAllocFree pins that every policy, whether built by
+// its New constructor or as a zero value, places a warmed-up round of
+// mixed pinned and portable items without allocating.
+func TestPlaceSteadyStateAllocFree(t *testing.T) {
+	const nItems, nMachines = 128, 64
+	machines := make([]MachineState, nMachines)
+	all := make([]int, nMachines)
+	siteOf := make([]int, nMachines)
+	for i := range machines {
+		machines[i] = ws(fmt.Sprintf("m%02d", i), 1+float64(i%5)/4, float64(i%3)/4, 1+i%2)
+		machines[i].Index = i
+		all[i] = i
+		siteOf[i] = i % 2
+	}
+	items := make([]Item, nItems)
+	for i := range items {
+		items[i] = Item{Task: taskgraph.TaskID(fmt.Sprintf("t%03d", i)), CandidateIDs: all, Work: 1 + float64(i%7), HomeSite: i % 3}
+		if i%4 == 0 {
+			items[i].CandidateIDs = all[i%8 : i%8+1] // pinned
+		}
+	}
+	cost := [][]float64{{0, 5}, {5, 0}}
+	withTopology := func(l *Locality) Policy { l.SetTopology(siteOf, cost); return l }
+	policies := []struct {
+		name string
+		pol  Policy
+	}{
+		{"NewGreedyBestFit", NewGreedyBestFit()},
+		{"new(GreedyBestFit)", new(GreedyBestFit)},
+		{"NewUtilizationFirst", NewUtilizationFirst()},
+		{"new(UtilizationFirst)", new(UtilizationFirst)},
+		{"NewLocality", withTopology(NewLocality())},
+		{"new(Locality)", withTopology(new(Locality))},
+	}
+	work := make([]MachineState, nMachines)
+	for _, p := range policies {
+		place := func() {
+			copy(work, machines)
+			p.pol.Place(items, work)
+		}
+		// Warm both halves of the double-buffered waiting output.
+		place()
+		place()
+		if n := testing.AllocsPerRun(100, place); n != 0 {
+			t.Errorf("%s: %v allocs per round, want 0", p.name, n)
+		}
 	}
 }
 
