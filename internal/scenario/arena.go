@@ -3,11 +3,11 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"vce/internal/arch"
 	"vce/internal/rng"
-	"vce/internal/sched"
 	"vce/internal/sim"
 	"vce/internal/workload"
 )
@@ -16,7 +16,6 @@ import (
 // draws (work size, constraint flag, arrival instant) that every matrix
 // cell of the same run index replays identically.
 type taskGen struct {
-	id          string
 	work        float64
 	arrival     time.Duration
 	constrained bool
@@ -34,11 +33,11 @@ type taskGen struct {
 //     run index reuse the generated objects instead of re-deriving and
 //     reallocating them (the executor feeds jobs run-major to make such
 //     neighbours common).
-//   - The simulation substrate — the kernel, machine structs, pooled task
-//     records and every index-keyed scratch buffer. These reset in place
-//     between cells (Cluster.Reset, Task.Reset discipline), so steady-state
-//     sweep execution allocates per-event closures and policy scratch, not
-//     worlds.
+//   - The simulation substrate — the kernel, machine structs, the task
+//     pool, the cell and every index-keyed scratch buffer. These reset in
+//     place between cells (Cluster.Reset, Task.Recycle discipline), so
+//     steady-state sweep execution allocates a fixed set of policy objects
+//     per cell, not worlds or per-task state.
 //
 // A nil arena in runInstance degenerates to a fresh single-use arena, which
 // IS the fresh-allocation path: the reuse-identity property (#9 in
@@ -74,54 +73,18 @@ type runArena struct {
 	cluster  *sim.Cluster
 	machines []*sim.Machine
 
-	// ids caches the task ID strings ("task-%03d"), which are independent
-	// of both run and cell; taskIdx inverts them. tasks is the pooled task
-	// record storage for eager (closed-workload) cells — cells hand out
-	// &tasks[i] pointers and re-initialize the values in place.
-	ids     []string
-	taskIdx map[string]int
-	tasks   []sim.Task
+	// pool holds the task records of the current cell; cell is the cell
+	// itself, recycled with its queue buffers and bound callbacks.
+	pool taskPool
+	cell cell
 
-	// Streaming (open-loop) cells draw task records from a bounded recycled
-	// pool instead: a slot is acquired at arrival admission and released at
-	// completion, so live records track the backlog + residents, not the
-	// task count. chunks stores records in fixed-size blocks — blocks never
-	// move as the pool grows, so &chunk[i] pointers held by machines stay
-	// valid. freeSlots is the recycle stack; poolCreated counts slots ever
-	// materialized (slot s lives at chunks[s/poolChunk][s%poolChunk]);
-	// poolLive/poolPeak track the cell's live-record high-water mark, the
-	// number the bounded-memory smoke asserts on.
-	streamMode  bool
-	chunks      [][]sim.Task
-	freeSlots   []int
-	poolCreated int
-	poolLive    int
-	poolPeak    int
-
-	// acc is the per-run streaming index accumulator, arena-resident so its
-	// fixed-shape sketch recycles across cells.
-	acc StreamingIndexes
-
-	// Per-cell scratch, index-keyed by machine or task index.
-	down       []bool
-	ownerLoad  []float64
-	attached   []bool
-	everPlaced []bool
-	waiting    []sched.Item
-	statesBuf  []sched.MachineState
-
-	// Per-cell DAG scratch (see prepDag): readiness countdown, the instant
-	// a task's last parent finished (its effective arrival), the machine
-	// that completed it, and the site its dependency data lives at.
-	remParents []int32
-	readyAt    []time.Duration
-	doneHost   []int32
-	homeSite   []int32
-	submitted  []bool
-	// inflight counts per-machine deliveries in transit (DAG data staging):
-	// capacity the placement snapshot reserves so a transfer never lands on
-	// a slot a later placement round already spent.
-	inflight []int
+	// Per-cell scratch keyed by machine index: failed machines, the owner
+	// trace's current level (repair restores it), and deliveries in transit
+	// (DAG data staging), whose slots the placement snapshot reserves so a
+	// transfer never lands on a slot a later round already spent.
+	down      []bool
+	ownerLoad []float64
+	inflight  []int
 
 	// Candidate sets as machine ids, stable across runs (the generated
 	// fleet's classes depend only on the spec).
@@ -132,19 +95,13 @@ type runArena struct {
 	// Cached event closures, allocated once per arena position and replayed
 	// by every subsequent cell: scheduling a cell's owner steps, arrivals
 	// and faults then allocates nothing. Each closure reads current arena
-	// state at fire time (and dispatches per-cell behavior through the hooks
-	// below), so one closure is valid across worlds and cells; a world with
-	// fewer steps or tasks simply schedules a prefix of the cache.
+	// state at fire time and calls the arena's cell, so one closure is valid
+	// across worlds and cells; a world with fewer steps or tasks simply
+	// schedules a prefix of the cache.
 	ownerFns  [][]func()
 	arriveFns []func()
 	failFns   []func()
 	repairFns []func()
-
-	// Per-cell dispatch targets behind the cached closures; runInstance
-	// rebinds them before scheduling each cell's events.
-	submitHook func(i int)
-	failHook   func(mi int)
-	repairHook func(mi int)
 }
 
 // ownerFn returns the cached callback for machine mi's si-th owner-trace
@@ -168,12 +125,11 @@ func (ar *runArena) ownerFn(mi, si int) func() {
 	return fns[si]
 }
 
-// arriveFn returns the cached arrival callback for task index i; it
-// dispatches to the cell's submitHook.
+// arriveFn returns the cached arrival callback for closed task i.
 func (ar *runArena) arriveFn(i int) func() {
 	for len(ar.arriveFns) <= i {
 		i := len(ar.arriveFns)
-		ar.arriveFns = append(ar.arriveFns, func() { ar.submitHook(i) })
+		ar.arriveFns = append(ar.arriveFns, func() { ar.cell.submit(i, ar.gens[i]) })
 	}
 	return ar.arriveFns[i]
 }
@@ -184,7 +140,7 @@ func (ar *runArena) arriveFn(i int) func() {
 func (ar *runArena) failFn(mi int) func() {
 	for len(ar.failFns) <= mi {
 		mi := len(ar.failFns)
-		ar.failFns = append(ar.failFns, func() { ar.failHook(mi) })
+		ar.failFns = append(ar.failFns, func() { ar.cell.fail(mi) })
 	}
 	return ar.failFns[mi]
 }
@@ -192,7 +148,7 @@ func (ar *runArena) failFn(mi int) func() {
 func (ar *runArena) repairFn(mi int) func() {
 	for len(ar.repairFns) <= mi {
 		mi := len(ar.repairFns)
-		ar.repairFns = append(ar.repairFns, func() { ar.repairHook(mi) })
+		ar.repairFns = append(ar.repairFns, func() { ar.cell.repair(mi) })
 	}
 	return ar.repairFns[mi]
 }
@@ -236,16 +192,13 @@ func (ar *runArena) ensureWorld(sp *Spec, run int, horizon time.Duration) error 
 	}
 	if !src.Streaming() {
 		n := sp.Workload.Tasks
-		for len(ar.ids) < n {
-			ar.ids = append(ar.ids, fmt.Sprintf("task-%03d", len(ar.ids)))
-		}
 		if cap(ar.gens) < n {
 			ar.gens = make([]taskGen, n)
 		}
 		ar.gens = ar.gens[:n]
 		workRng := root.Derive("work")
 		for i := range ar.gens {
-			ar.gens[i] = taskGen{id: ar.ids[i], work: sp.Workload.Work.Sample(workRng)}
+			ar.gens[i] = taskGen{work: sp.Workload.Work.Sample(workRng)}
 		}
 		if con := sp.Workload.Constrained; con != nil {
 			conRng := root.Derive("constraints")
@@ -333,7 +286,7 @@ func (ar *runArena) generateGraph(g *GraphSpec, root *rng.Source) {
 	}
 	// Ideal critical path at unit speed ignoring transfers: a forward pass
 	// works because every edge points low → high.
-	ar.cpScratch = resetFloats(ar.cpScratch, n)
+	ar.cpScratch = resetFill(ar.cpScratch, n, 0)
 	for i := 0; i < n; i++ {
 		cp := 0.0
 		for _, p := range ar.parents[i] {
@@ -358,30 +311,6 @@ func growSlices[T any](s [][]T, n int) [][]T {
 	s = s[:n]
 	for i := range s {
 		s[i] = s[i][:0]
-	}
-	return s
-}
-
-// resetBools resizes a bool scratch slice to n with every entry false.
-func resetBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// resetFloats resizes a float scratch slice to n with every entry zero.
-func resetFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
 	}
 	return s
 }
@@ -467,121 +396,82 @@ func (ar *runArena) ensureTopology(sp *Spec) {
 	ar.topo = buildTopology(&ms, ar.specs)
 }
 
-// prepDag resets the per-cell DAG scratch: the readiness countdowns rebuild
-// from the cached adjacency, and completion hosts / affinity sites clear to
-// "unknown" for every task of the cached world.
-func (ar *runArena) prepDag() {
-	n := len(ar.gens)
-	ar.remParents = resetFill(ar.remParents, n, int32(0))
-	for i := 0; i < n && i < len(ar.parents); i++ {
-		ar.remParents[i] = int32(len(ar.parents[i]))
-	}
-	ar.readyAt = resetFill(ar.readyAt, n, time.Duration(0))
-	ar.doneHost = resetFill(ar.doneHost, n, int32(-1))
-	ar.homeSite = resetFill(ar.homeSite, n, int32(-1))
-	ar.submitted = resetBools(ar.submitted, n)
-}
-
-// prepCell sizes and clears the per-cell scratch buffers and the pooled
-// task records' index, and resets the run accumulator. Task values
-// themselves are re-initialized by the caller (they need the cell's
-// completion callback). A streaming cell recycles the bounded task pool
-// instead of the flat per-task arrays: every slot ever materialized is free
-// again, and the per-slot scratch re-zeros lazily at acquisition.
-func (ar *runArena) prepCell(streaming bool) {
-	nm := len(ar.machines)
-	ar.down = resetBools(ar.down, nm)
-	ar.ownerLoad = resetFloats(ar.ownerLoad, nm)
-	ar.inflight = resetFill(ar.inflight, nm, 0)
-	ar.waiting = ar.waiting[:0]
-	ar.streamMode = streaming
-	ar.acc.Reset()
-	if streaming {
-		created := ar.poolCreated
-		ar.gens = ar.gens[:created]
-		ar.attached = resetBools(ar.attached, created)
-		ar.everPlaced = resetBools(ar.everPlaced, created)
-		// Pop order is ascending slot ids, so task IDs assign in arrival
-		// order and recycling is deterministic.
-		ar.freeSlots = ar.freeSlots[:0]
-		for s := created - 1; s >= 0; s-- {
-			ar.freeSlots = append(ar.freeSlots, s)
-		}
-		ar.poolLive, ar.poolPeak = 0, 0
-		if ar.taskIdx == nil {
-			ar.taskIdx = make(map[string]int)
-		}
-		// An eager cell on this arena may have rebuilt the index smaller
-		// than the pool; re-cover every created slot (idempotent — the
-		// id→index mapping is universal).
-		if len(ar.taskIdx) < created {
-			for i := 0; i < created; i++ {
-				ar.taskIdx[ar.ids[i]] = i
-			}
-		}
-		return
-	}
-	n := len(ar.gens)
-	ar.attached = resetBools(ar.attached, n)
-	ar.everPlaced = resetBools(ar.everPlaced, n)
-	if cap(ar.tasks) < n {
-		ar.tasks = make([]sim.Task, n)
-	}
-	ar.tasks = ar.tasks[:n]
-	if len(ar.taskIdx) != n {
-		ar.taskIdx = make(map[string]int, n)
-		for i := 0; i < n; i++ {
-			ar.taskIdx[ar.ids[i]] = i
-		}
-	}
-}
-
-// poolChunk is the streaming pool's block size: records allocate in blocks
-// so growth never moves existing records (machines hold pointers into them).
+// poolChunk is the task pool's block size: records allocate in blocks so
+// growth never moves existing records (machines hold pointers into them).
 const poolChunk = 512
 
-// taskAt returns the pooled record for slot i in the current cell's mode.
-func (ar *runArena) taskAt(i int) *sim.Task {
-	if ar.streamMode {
-		return &ar.chunks[i/poolChunk][i%poolChunk]
-	}
-	return &ar.tasks[i]
+// taskRec is one pooled task: the simulated task plus the cell's
+// bookkeeping for it. The record's ID is fixed at creation ("task-%03d" of
+// its slot); everything else re-initializes per incarnation.
+type taskRec struct {
+	sim.Task
+	// queuedAt is when the task entered the waiting queue: its arrival, or
+	// for a DAG child the completion of its last parent.
+	queuedAt    time.Duration
+	constrained bool
+	// chained marks a started per-task checkpoint chain, placed a task
+	// that got at least one placement.
+	chained, placed bool
+	// DAG bookkeeping: parents not yet completed, the machine that
+	// completed the task (where its output data lives), and 1 + the site of
+	// the task's dependency data (0 when unknown).
+	pending, ranOn, home int32
 }
 
-// acquireSlot hands out a free pool slot for an admitted streaming arrival,
-// materializing a new one (and its id, index entry and per-slot scratch)
-// when the recycle stack is empty. The caller fills gens[slot] and the task
-// record; acquire only guarantees clean placement/attachment scratch.
-func (ar *runArena) acquireSlot() int {
+// taskPool is the cell's task record store. After reset, slots are handed
+// out in ascending order: a closed cell acquires one per task up front (so
+// slot i is task i), a streaming cell one per admitted arrival and releases
+// it at completion, so its live records track the backlog plus the
+// residents rather than the task count. live/peak measure that high-water
+// mark, the number the bounded-memory smoke asserts on.
+type taskPool struct {
+	chunks     [][]taskRec
+	index      map[string]int // task ID → slot
+	free       []int
+	created    int
+	live, peak int
+}
+
+// at returns slot s's record.
+func (p *taskPool) at(s int) *taskRec { return &p.chunks[s/poolChunk][s%poolChunk] }
+
+// reset frees every created slot for the next cell.
+func (p *taskPool) reset() {
+	p.free = slices.Grow(p.free[:0], p.created)
+	for s := p.created - 1; s >= 0; s-- {
+		p.free = append(p.free, s)
+	}
+	p.live, p.peak = 0, 0
+}
+
+// acquire hands out the lowest free slot with clean bookkeeping,
+// materializing a new record when none is free.
+func (p *taskPool) acquire() int {
 	var s int
-	if n := len(ar.freeSlots); n > 0 {
-		s = ar.freeSlots[n-1]
-		ar.freeSlots = ar.freeSlots[:n-1]
+	if n := len(p.free); n > 0 {
+		s = p.free[n-1]
+		p.free = p.free[:n-1]
 	} else {
-		s = ar.poolCreated
-		ar.poolCreated++
+		s = p.created
+		p.created++
 		if s%poolChunk == 0 {
-			ar.chunks = append(ar.chunks, make([]sim.Task, poolChunk))
+			p.chunks = append(p.chunks, make([]taskRec, poolChunk))
 		}
-		for len(ar.ids) <= s {
-			ar.ids = append(ar.ids, fmt.Sprintf("task-%03d", len(ar.ids)))
+		if p.index == nil {
+			p.index = make(map[string]int)
 		}
-		ar.taskIdx[ar.ids[s]] = s
-		ar.gens = append(ar.gens, taskGen{})
-		ar.attached = append(ar.attached, false)
-		ar.everPlaced = append(ar.everPlaced, false)
+		p.at(s).ID = fmt.Sprintf("task-%03d", s)
+		p.index[p.at(s).ID] = s
 	}
-	ar.everPlaced[s] = false
-	ar.attached[s] = false
-	ar.poolLive++
-	if ar.poolLive > ar.poolPeak {
-		ar.poolPeak = ar.poolLive
-	}
+	r := p.at(s)
+	r.chained, r.placed, r.pending, r.home = false, false, 0, 0
+	p.live++
+	p.peak = max(p.peak, p.live)
 	return s
 }
 
-// releaseSlot returns a completed task's slot to the pool.
-func (ar *runArena) releaseSlot(s int) {
-	ar.poolLive--
-	ar.freeSlots = append(ar.freeSlots, s)
+// release returns a finished or dropped task's slot.
+func (p *taskPool) release(s int) {
+	p.live--
+	p.free = append(p.free, s)
 }

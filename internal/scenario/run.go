@@ -136,7 +136,6 @@ func (e *AuditError) Error() string {
 // runArena); nil builds everything fresh. Both paths run this one body and
 // produce identical indexes — the reuse-identity property pins it.
 func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *obs.RunTrace, ar *runArena) (Indexes, error) {
-	var kstats vtime.Stats
 	var phaseAt time.Time
 	if tr != nil {
 		phaseAt = time.Now()
@@ -153,7 +152,6 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 	if err != nil {
 		return Indexes{}, fmt.Errorf("scenario: %s: %w", sp.Name, err)
 	}
-	streaming := src.Streaming()
 	if a := sp.Workload.Arrivals; a.Kind == "trace" && len(a.TraceS) == 0 {
 		return Indexes{}, fmt.Errorf("scenario: %s: trace arrivals not inlined — trace_path requires scenario.Load", sp.Name)
 	}
@@ -175,514 +173,40 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 		return Indexes{}, err
 	}
 	ar.ensureTopology(sp)
-	topo := ar.topo
-	graph := sp.Workload.Graph
-	dag := graph != nil
-	ar.prepCell(streaming)
-	if dag {
-		ar.prepDag()
-	}
-	c := ar.cluster
-	machines := ar.machines
+	k := ar.cluster.Sim
+	var kstats vtime.Stats
 	if tr != nil {
-		c.Sim.SetStats(&kstats)
+		k.SetStats(&kstats)
 	}
 	// The flat link is the model default; a site topology layers its
 	// resolver on top, so machine pairs with declared positions price by
 	// their site-pair link and everything else (nothing, today) falls back.
-	c.Net = netsim.New(netsim.Link{
+	ar.cluster.Net = netsim.New(netsim.Link{
 		Latency:   time.Duration(sp.Machines.LatencyMs * float64(time.Millisecond)),
 		Bandwidth: *sp.Machines.BandwidthMiBps * (1 << 20),
 	})
-	if topo != nil {
-		c.Net.SetResolver(topo.resolver())
+	if ar.topo != nil {
+		ar.cluster.Net.SetResolver(ar.topo.resolver())
 	}
-
 	// An audited run re-derives the kernel's accounting invariants alongside
 	// the simulation; the auditor only observes, so indexes are unchanged.
 	var auditor *sim.Auditor
 	if audit {
-		auditor = sim.AttachAuditor(c)
+		auditor = sim.AttachAuditor(ar.cluster)
 	}
 
-	// down marks failed machines; ownerLoad remembers the owner trace's
-	// current level so repair restores the owner's load, not idle, and a
-	// trace step during an outage is deferred instead of reviving the
-	// machine. Both are keyed by Machine.Index: these are consulted on
-	// every machine-change notification, so no name hashing on that path.
-	down := ar.down
-	ownerLoad := ar.ownerLoad
-	if sp.Owner != nil {
-		for mi := range machines {
-			for si, s := range ar.ownerSteps[mi] {
-				c.Sim.At(s.At, ar.ownerFn(mi, si))
-			}
-		}
-	}
-
-	imageBytes := int64(sp.Workload.ImageMiB * (1 << 20))
-	var edgeBytes int64
-	if dag {
-		edgeBytes = int64(graph.DataMiB * (1 << 20))
-	}
-
-	// ---- per-cell state ----
-	idx := Indexes{}
-	pol, err := newSchedPolicy(inst.Sched)
-	if err != nil {
+	// ---- the cell: policies, events, run, measurement ----
+	c := &ar.cell
+	if err := c.reset(ar, inst, sp, src, run, horizon); err != nil {
 		return Indexes{}, err
 	}
-	// The locality policy scores candidates by the transfer cost of the
-	// workload's dominant payload — the dependency edge for DAG workloads,
-	// the task image otherwise.
-	loc, _ := pol.(*sched.Locality)
-	if loc != nil && topo != nil {
-		payload := imageBytes
-		if dag {
-			payload = edgeBytes
-		}
-		loc.SetTopology(topo.siteOf, topo.costMatrix(payload))
-	}
-	// Affinity accounting for the new indexes: affine counts first
-	// placements of tasks with a known data site, forwarded those placed
-	// off it; xferWaitS integrates time spent staging dependency data.
-	var affine, forwarded int
-	var xferWaitS float64
-	var dagErr error
-
-	var ck *migrate.Checkpointer
-	var lb *loadbalance.VCEMigrate
-	var stealth *loadbalance.Stealth
-	attachMigrate := func(strategy migrate.Strategy) {
-		lb = loadbalance.NewVCEMigrate(migrateHi, migrateLo, idleBelow, strategy)
-		lb.Attach(c)
-	}
-	newRecompile := func() *migrate.Recompile {
-		return &migrate.Recompile{Cost: compilemgr.CostModel{Base: 60 * time.Second, PerMiB: time.Second}}
-	}
-	switch inst.Migration {
-	case "none":
-	case "suspend":
-		stealth = loadbalance.NewStealth(migrateHi, migrateLo)
-		stealth.Attach(c)
-	case "address-space":
-		attachMigrate(migrate.AddressSpace{})
-	case "checkpoint":
-		ck = migrate.NewCheckpointer(time.Duration(sp.CheckpointIntervalS * float64(time.Second)))
-		attachMigrate(ck)
-	case "recompile":
-		attachMigrate(newRecompile())
-	case "adaptive":
-		ck = migrate.NewCheckpointer(time.Duration(sp.CheckpointIntervalS * float64(time.Second)))
-		picker, err := migrate.NewPicker(migrate.AddressSpace{}, ck, newRecompile())
-		if err != nil {
-			return Indexes{}, err
-		}
-		attachMigrate(picker)
-	default:
-		return Indexes{}, fmt.Errorf("scenario: unknown migration strategy %q", inst.Migration)
-	}
-
-	// ---- scheduling loop ----
-	// Portable tasks accept every machine; constrained tasks only their
-	// pinned class. Candidate sets are Machine.Index ids; they live in the
-	// arena because the generated fleet's classes are spec-determined,
-	// stable across cells and runs.
-	slots := ar.slots
-	candsFor := func(i int) []int {
-		if ar.gens[i].constrained {
-			return ar.pinnedIDs
-		}
-		return ar.allIDs
-	}
-	// newItem builds the placement-queue entry for task i. Submission, race
-	// requeue and transfer bounce go through it so the data-affinity site
-	// rides along; fault requeue builds its own Item (see failHook), which
-	// carries no HomeSite.
-	newItem := func(i int, work float64) sched.Item {
-		it := sched.Item{Task: taskgraph.TaskID(ar.gens[i].id), CandidateIDs: candsFor(i), Work: work}
-		if dag && topo != nil && ar.homeSite[i] >= 0 {
-			it.HomeSite = int(ar.homeSite[i]) + 1
-		}
-		return it
-	}
-	waiting := ar.waiting
-	// acc is the run's one-pass index accumulator: completions, rejections
-	// and queue-depth changes fold in as events fire, so measurement state
-	// is fixed-size however many tasks the cell absorbs. (Per-task scratch
-	// is reached through ar, not hoisted locals: a streaming cell's pool
-	// grows its index-keyed slices mid-run.)
-	acc := &ar.acc
-	acc.NoteQueueDepth(0, 0)
-
-	// tryPlace is re-entered through cluster change notifications (AddTask
-	// fires OnChange, which calls tryPlace): the guard collapses re-entrant
-	// calls into one extra pass after the current one finishes, so every
-	// pass works from a fresh free-slot snapshot and machines are never
-	// over-subscribed past their Slots.
-	placing := false
-	placeAgain := false
-	// statesBuf is reused across placement passes: Place snapshots the
-	// machine states it needs, so the buffer is dead once Place returns.
-	statesBuf := ar.statesBuf
-	// stageDelay is the data-staging time a DAG placement pays before the
-	// task can start: the slowest transfer of the edge payload from any
-	// parent's completion host over the actual network link. Co-located
-	// parents (and root tasks) stage for free.
-	stageDelay := func(ti, hi int) time.Duration {
-		if !dag {
-			return 0
-		}
-		var d time.Duration
-		dst := machines[hi].Name()
-		for _, p := range ar.parents[ti] {
-			ph := ar.doneHost[p]
-			if ph < 0 || int(ph) == hi {
-				continue
-			}
-			t, err := c.Net.TransferTime(machines[ph].Name(), dst, edgeBytes)
-			if err == nil && t > d {
-				d = t
-			}
-		}
-		return d
-	}
-	// notePlaced marks a task placed and, on its first placement, folds it
-	// into the affinity accounting behind forwarded_pct.
-	notePlaced := func(ti, hi int) {
-		if dag && topo != nil && !ar.everPlaced[ti] && ar.homeSite[ti] >= 0 {
-			affine++
-			if topo.siteOf[hi] != int(ar.homeSite[ti]) {
-				forwarded++
-			}
-		}
-		ar.everPlaced[ti] = true
-	}
-	var deliver func(ti, hi int)
-	var tryPlace func()
-	tryPlace = func() {
-		if placing {
-			placeAgain = true
-			return
-		}
-		placing = true
-		// The outermost exit is where the queue has settled for this event:
-		// record its depth for the time-weighted backlog integral.
-		defer func() {
-			placing = false
-			acc.NoteQueueDepth(c.Sim.Now(), len(waiting))
-		}()
-		for {
-			placeAgain = false
-			if len(waiting) == 0 {
-				return
-			}
-			states := statesBuf[:0]
-			for i, m := range machines {
-				// In-transit deliveries (DAG data staging) reserve their
-				// slot up front, so a later placement round can't spend it.
-				free := slots[i] - m.RemoteTasks() - ar.inflight[i]
-				// Down machines and owner-occupied machines take no new
-				// placements (the DAWGS idle-placement discipline); residents
-				// are the migration/suspension policies' problem.
-				if down[i] || m.LocalLoad() >= migrateHi || free <= 0 {
-					continue
-				}
-				states = append(states, sched.MachineState{Machine: m.Spec, Load: m.Load(), Slots: free, Index: m.Index()})
-			}
-			statesBuf = states
-			if len(states) == 0 {
-				return
-			}
-			placed, left := pol.Place(waiting, states)
-			waiting = left
-			if loc != nil {
-				// Backpressure rejections leave the system here: dropped
-				// items are in neither output, so account them now.
-				for _, d := range loc.Dropped() {
-					acc.TaskRejected()
-					if streaming {
-						ar.releaseSlot(ar.taskIdx[string(d.Task)])
-					}
-				}
-			}
-			for _, a := range placed {
-				ti := ar.taskIdx[string(a.Task)]
-				t := ar.taskAt(ti)
-				hi := a.Index
-				if delay := stageDelay(ti, hi); delay > 0 {
-					// Dependency data must cross the network first: hold the
-					// slot and deliver the task when the transfer lands.
-					notePlaced(ti, hi)
-					xferWaitS += delay.Seconds()
-					ar.inflight[hi]++
-					ti, hi := ti, hi
-					c.Sim.After(delay, func() { deliver(ti, hi) })
-					continue
-				}
-				if err := machines[hi].AddTask(t); err != nil {
-					// Placement raced a policy callback; requeue.
-					waiting = append(waiting, newItem(ti, t.Remaining()))
-					continue
-				}
-				notePlaced(ti, hi)
-				// Streaming cells checkpoint through the cell-wide ticker
-				// below: a per-task tick chain would outlive its recycled
-				// pool record and checkpoint the wrong incarnation.
-				if ck != nil && t.Checkpointable && !streaming && !ar.attached[ti] {
-					ar.attached[ti] = true
-					_ = ck.Attach(c, t)
-				}
-			}
-			if !placeAgain {
-				return
-			}
-		}
-	}
-
-	// deliver lands a DAG task whose dependency transfer just finished: the
-	// reserved slot converts into a real placement, unless the destination
-	// failed or filled with owner work mid-transfer — then the task bounces
-	// back to the queue for a fresh decision.
-	deliver = func(ti, hi int) {
-		ar.inflight[hi]--
-		t := ar.taskAt(ti)
-		m := machines[hi]
-		if down[hi] || m.LocalLoad() >= migrateHi || m.AddTask(t) != nil {
-			waiting = append(waiting, newItem(ti, t.Remaining()))
-			tryPlace() // the reservation just became real capacity
-			return
-		}
-		if ck != nil && t.Checkpointable && !streaming && !ar.attached[ti] {
-			ar.attached[ti] = true
-			_ = ck.Attach(c, t)
-		}
-	}
-
-	// One completion callback shared by every task of the cell: the pooled
-	// task records are re-initialized per cell, but the closure itself is
-	// identical across them, so tasks never carry per-task closures. In a
-	// streaming cell, completion also returns the record's slot to the pool
-	// for the next arrival. For DAG workloads it is also the dependency
-	// engine: a completion records its host (where the output data now
-	// lives), decrements each child's readiness countdown and submits
-	// children whose last parent just finished.
-	onDone := func(t *sim.Task, at time.Duration) {
-		ti := ar.taskIdx[t.ID]
-		arrival := ar.gens[ti].arrival
-		if dag {
-			arrival = ar.readyAt[ti]
-			if at < arrival && dagErr == nil {
-				dagErr = fmt.Errorf("scenario: %s run %d: task %s completed at %v before its last parent at %v",
-					inst.Key(), run, t.ID, at, arrival)
-			}
-			host := t.DoneOn()
-			if host != nil {
-				ar.doneHost[ti] = int32(host.Index())
-				for _, ci := range ar.children[ti] {
-					ar.remParents[ci]--
-					if ar.remParents[ci] == 0 {
-						ar.readyAt[ci] = at
-						if topo != nil {
-							ar.homeSite[ci] = int32(topo.siteOf[host.Index()])
-						}
-						ar.submitHook(int(ci))
-					}
-				}
-			}
-		}
-		acc.TaskDone(at, arrival, t.Work)
-		if streaming {
-			ar.releaseSlot(ti)
-		}
-		tryPlace()
-	}
-	ar.submitHook = func(i int) {
-		g := &ar.gens[i]
-		if err := ar.taskAt(i).Recycle(sim.Task{
-			ID:             g.id,
-			Work:           g.work,
-			ImageBytes:     imageBytes,
-			Checkpointable: sp.Workload.Checkpointable,
-			OnDone:         onDone,
-		}); err != nil {
-			// Impossible by construction: completion detaches the record
-			// before OnDone returns its slot, and Cluster.Reset detaches
-			// residents between cells.
-			panic(err)
-		}
-		if dag {
-			ar.submitted[i] = true
-			ar.readyAt[i] = c.Sim.Now()
-		}
-		waiting = append(waiting, newItem(i, g.work))
-		tryPlace()
-	}
-	// generated counts the arrivals a streaming pump actually produced; the
-	// remainder up to the task cap never arrived and is accounted rejected
-	// after the run, mirroring the eager past-the-horizon rule.
-	generated := 0
-	if !streaming {
-		for i := range ar.gens {
-			if dag {
-				// Only root tasks follow the arrival source; children arrive
-				// when their last parent completes. A task still unsubmitted
-				// at the horizon is accounted rejected after the run.
-				if len(ar.parents[i]) == 0 && ar.gens[i].arrival < horizon {
-					c.Sim.At(ar.gens[i].arrival, ar.arriveFn(i))
-				}
-				continue
-			}
-			if ar.gens[i].arrival >= horizon {
-				acc.TaskRejected() // never arrives inside the horizon
-				continue
-			}
-			c.Sim.At(ar.gens[i].arrival, ar.arriveFn(i))
-		}
-	} else {
-		// Open-loop arrival pump: a self-scheduling event draws the next
-		// instant from the source cursor and admits or rejects the arrival
-		// against the bounded queue. The work and constraint draws always
-		// happen — even for a rejected arrival — so every cell of the run
-		// consumes the derived streams identically whatever its queue state.
-		target := sp.Workload.Tasks
-		queueLimit := sp.Workload.QueueLimit
-		root := derivedStreams(sp, run)
-		cur := src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals"))
-		workRng := root.Derive("work")
-		con := sp.Workload.Constrained
-		var conRng *rng.Source
-		if con != nil {
-			conRng = root.Derive("constraints")
-		}
-		var pump func()
-		scheduleNext := func() {
-			if generated >= target {
-				return
-			}
-			if at, ok := cur(); ok && at < horizon {
-				c.Sim.At(at, pump)
-			}
-		}
-		pump = func() {
-			generated++
-			work := sp.Workload.Work.Sample(workRng)
-			constrained := conRng != nil && conRng.Bool(con.Fraction)
-			if queueLimit > 0 && len(waiting) >= queueLimit {
-				acc.TaskRejected()
-			} else {
-				s := ar.acquireSlot()
-				ar.gens[s] = taskGen{id: ar.ids[s], work: work, arrival: c.Sim.Now(), constrained: constrained}
-				ar.submitHook(s)
-			}
-			scheduleNext()
-		}
-		scheduleNext()
-	}
-
-	// Streaming cells checkpoint on a single cell-wide cadence over the live
-	// residents instead of per-task tick chains (see tryPlace).
-	if streaming && ck != nil && sp.Workload.Checkpointable {
-		interval := time.Duration(sp.CheckpointIntervalS * float64(time.Second))
-		var ckTick func()
-		ckTick = func() {
-			for _, m := range machines {
-				for _, t := range m.Tasks() {
-					if t.Checkpointable {
-						ck.CheckpointNow(c, t)
-					}
-				}
-			}
-			c.Sim.After(interval, ckTick)
-		}
-		c.Sim.After(interval, ckTick)
-	}
-
-	// Owner departures free machines: retry placement on load drops.
-	c.OnChange(func(m *sim.Machine, _ time.Duration) {
-		if m.LocalLoad() < migrateHi && !down[m.Index()] {
-			tryPlace()
-		}
-	})
-
-	// ---- fault injection ----
-	// Failure instants replay from the arena's cached fault schedule (same
-	// derived stream, same draws as a fresh build); repairs reconstruct as
-	// fail + DownS, preserving the fail/repair event interleaving.
-	if sp.Faults != nil {
-		downFor := time.Duration(sp.Faults.DownS * float64(time.Second))
-		ar.failHook = func(mi int) {
-			if down[mi] {
-				return
-			}
-			down[mi] = true
-			m := machines[mi]
-			for _, victim := range m.Tasks() {
-				killed, err := m.Kill(victim.ID)
-				if err != nil {
-					continue
-				}
-				idx.Failed++
-				// Restart from the last checkpoint (scratch if none).
-				_ = killed.Rewind(killed.CheckpointedWork)
-				waiting = append(waiting, sched.Item{
-					Task:         taskgraph.TaskID(killed.ID),
-					CandidateIDs: candsFor(ar.taskIdx[killed.ID]),
-					Work:         killed.Remaining(),
-				})
-			}
-			m.SetLocalLoad(1)
-			// Surviving machines may have free slots for the
-			// requeued victims; don't wait for an unrelated event.
-			tryPlace()
-		}
-		ar.repairHook = func(mi int) {
-			down[mi] = false
-			// Hand the machine back to its owner at the owner trace's
-			// current level, not blanket idle.
-			machines[mi].SetLocalLoad(ownerLoad[mi])
-			tryPlace()
-		}
-		for mi := range machines {
-			for _, at := range ar.faultAt[mi] {
-				c.Sim.At(at, ar.failFn(mi))
-				repairAt := at + downFor
-				if repairAt < horizon {
-					c.Sim.At(repairAt, ar.repairFn(mi))
-				}
-			}
-		}
-	}
-
-	// ---- run and measure ----
-	// A cancellable ctx installs a self-rescheduling probe that halts the
-	// kernel once ctx is done. Probes never touch world state or random
-	// streams, so indexes are unchanged when ctx survives; Background's nil
-	// Done channel skips them entirely.
-	halted := false
-	if done := ctx.Done(); done != nil {
-		interval := horizon / cancelProbes
-		if interval <= 0 {
-			interval = time.Millisecond
-		}
-		var probe func()
-		probe = func() {
-			select {
-			case <-done:
-				halted = true
-				c.Sim.Halt()
-			default:
-				c.Sim.After(interval, probe)
-			}
-		}
-		c.Sim.After(interval, probe)
-	}
+	c.schedule(ctx.Done())
 	if tr != nil {
 		now := time.Now()
 		tr.Setup = now.Sub(phaseAt)
 		phaseAt = now
 	}
-	c.Sim.RunUntil(horizon)
+	k.RunUntil(horizon)
 	if tr != nil {
 		now := time.Now()
 		tr.Simulate = now.Sub(phaseAt)
@@ -692,10 +216,9 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 	// expires after the final event has run leaves the indexes complete and
 	// valid, and throwing them away would shrink partial reports for no
 	// reason.
-	if halted {
+	if c.halted {
 		return Indexes{}, ctx.Err()
 	}
-	end := c.Sim.Now()
 	if auditor != nil {
 		auditor.Finish()
 		if v := auditor.Violations(); len(v) > 0 {
@@ -705,62 +228,10 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 			}
 		}
 	}
-
-	if dagErr != nil {
-		return Indexes{}, dagErr
+	if c.dagErr != nil {
+		return Indexes{}, c.dagErr
 	}
-
-	// Rejected counts tasks that never got a placement; fault-requeued tasks
-	// stranded in the queue at the horizon were placed once and already show
-	// up in Failed, not here.
-	for _, it := range waiting {
-		if !ar.everPlaced[ar.taskIdx[string(it.Task)]] {
-			acc.TaskRejected()
-		}
-	}
-	// A streaming pump that the horizon (or an exhausted trace) stopped
-	// short of the task cap never offered the remainder: those tasks never
-	// arrive, the same fate as eager arrivals past the horizon.
-	if streaming {
-		acc.rejected += sp.Workload.Tasks - generated
-	}
-	// A DAG task never submitted — a root arriving past the horizon, or a
-	// child whose ancestry didn't finish in time — never entered the system:
-	// rejected, the closed-world analogue of the rules above. (Submitted but
-	// never-placed tasks are the waiting sweep's; locality drops were counted
-	// at drop time; tasks still staging data at the horizon were placed.)
-	if dag {
-		for i := range ar.gens {
-			if !ar.submitted[i] {
-				acc.TaskRejected()
-			}
-		}
-	}
-	// Hand the grown scratch capacity back to the arena for the next cell.
-	ar.waiting = waiting
-	ar.statesBuf = statesBuf
-	acc.Finalize(&idx, end, sp.Workload.Tasks)
-	if affine > 0 {
-		idx.ForwardedPct = 100 * float64(forwarded) / float64(affine)
-	}
-	idx.XferWaitS = xferWaitS
-	if dag && ar.graphCP > 0 {
-		idx.CriticalPathStretch = idx.MakespanS / ar.graphCP
-	}
-	var util float64
-	for _, m := range machines {
-		util += m.RemoteUtilization(end)
-	}
-	if len(machines) > 0 {
-		idx.UtilizationPct = 100 * util / float64(len(machines))
-	}
-	if lb != nil {
-		idx.Migrations = lb.Migrations
-		idx.Suspensions = lb.FallbackSuspends
-	}
-	if stealth != nil {
-		idx.Suspensions = stealth.Suspensions
-	}
+	idx := c.measure()
 	if tr != nil {
 		tr.Measure = time.Since(phaseAt)
 		tr.Kernel = obs.KernelCounters{
@@ -769,10 +240,570 @@ func runInstance(ctx context.Context, inst Instance, run int, audit bool, tr *ob
 			Cancelled:    kstats.Cancelled,
 			AuditCalls:   kstats.AuditCalls,
 			HeapMax:      kstats.HeapMax,
-			StateChanges: c.StateChanges(),
+			StateChanges: ar.cluster.StateChanges(),
 		}
 	}
 	return idx, nil
+}
+
+// cell is one (instance, run) simulation of the execution layer: waiting
+// tasks go onto idle workstations, owners and faults reclaim them, and the
+// migration policy suspends or moves residents. Each step is a method. The
+// cell lives in its arena (runArena.cell), so the arena's cached arrival
+// and fault callbacks call those methods directly, and reset recycles its
+// queue buffers and bound callbacks from cell to cell.
+//
+// Closed and streaming cells differ in two places. A closed cell's tasks
+// are the arena's generated world, scheduled as arrival events up front,
+// and each checkpointable task carries its own checkpoint chain. A
+// streaming cell pumps arrivals from a source cursor into a bounded pool
+// and checkpoints every resident on one cell-wide ticker, because a
+// per-task chain would outlive its recycled record.
+type cell struct {
+	ar        *runArena
+	inst      Instance
+	sp        *Spec
+	run       int
+	horizon   time.Duration
+	streaming bool
+	dag       bool
+	cl        *sim.Cluster
+	topo      *siteTopology
+	pol       sched.Policy
+	// loc is pol when it is the locality policy, whose backpressure drops
+	// tasks out of the queue.
+	loc     *sched.Locality
+	ck      *migrate.Checkpointer
+	lb      *loadbalance.VCEMigrate
+	stealth *loadbalance.Stealth
+	// imageBytes sizes every task's image; edgeBytes a DAG edge's payload.
+	imageBytes, edgeBytes int64
+
+	// waiting is the placement queue; states the machine snapshot of the
+	// current placement round. placing and placeAgain guard tryPlace.
+	waiting             []sched.Item
+	states              []sched.MachineState
+	placing, placeAgain bool
+
+	// The streaming arrival pump: the source cursor, the work and
+	// constraint streams, and how many arrivals it has drawn.
+	cursor          ArrivalCursor
+	workRng, conRng *rng.Source
+	generated       int
+
+	// The cancellation probe: done is ctx.Done(), halted whether it fired.
+	done       <-chan struct{}
+	probeEvery time.Duration
+	halted     bool
+
+	// acc folds completions, rejections and queue depth in as events fire.
+	// submitted counts tasks that entered the queue; every other offered
+	// task was rejected (past the horizon, refused admission, never drawn,
+	// or a DAG child whose ancestry did not finish in time).
+	acc       StreamingIndexes
+	submitted int
+	failed    int64
+	// affine counts first placements of tasks with a known data site,
+	// forwarded those placed off it; xferWaitS totals data-staging time.
+	affine, forwarded int
+	xferWaitS         float64
+	dagErr            error
+
+	// fns are the cell's methods bound once per arena, so scheduling them
+	// as events allocates nothing.
+	fns struct {
+		onDone              func(*sim.Task, time.Duration)
+		pump, ckTick, probe func()
+	}
+}
+
+// reset readies the arena's cell for (inst, run): it clears the per-cell
+// state, keeping the queue buffers and bound callbacks, and builds the
+// placement and migration policies.
+func (c *cell) reset(ar *runArena, inst Instance, sp *Spec, src WorkloadSource, run int, horizon time.Duration) error {
+	pol, err := newSchedPolicy(inst.Sched)
+	if err != nil {
+		return err
+	}
+	*c = cell{
+		ar: ar, inst: inst, sp: sp, run: run, horizon: horizon,
+		streaming: src.Streaming(), dag: sp.Workload.Graph != nil,
+		cl: ar.cluster, topo: ar.topo, pol: pol,
+		imageBytes: int64(sp.Workload.ImageMiB * (1 << 20)),
+		waiting:    c.waiting[:0], states: c.states[:0], fns: c.fns,
+	}
+	if c.fns.onDone == nil {
+		c.fns.onDone, c.fns.pump, c.fns.ckTick, c.fns.probe = c.onDone, c.pump, c.ckTick, c.probe
+	}
+	nm := len(ar.machines)
+	ar.down = resetFill(ar.down, nm, false)
+	ar.ownerLoad = resetFill(ar.ownerLoad, nm, 0)
+	ar.inflight = resetFill(ar.inflight, nm, 0)
+	ar.pool.reset()
+	c.acc.NoteQueueDepth(0, 0)
+	if c.dag {
+		c.edgeBytes = int64(sp.Workload.Graph.DataMiB * (1 << 20))
+	}
+	// The locality policy scores candidates by the transfer cost of the
+	// workload's dominant payload — the dependency edge for DAG workloads,
+	// the task image otherwise.
+	c.loc, _ = pol.(*sched.Locality)
+	if c.loc != nil && c.topo != nil {
+		payload := c.imageBytes
+		if c.dag {
+			payload = c.edgeBytes
+		}
+		c.loc.SetTopology(c.topo.siteOf, c.topo.costMatrix(payload))
+	}
+	if c.streaming {
+		root := derivedStreams(sp, run)
+		c.cursor = src.Cursor(sp.Workload.Arrivals, root.Derive("arrivals"))
+		c.workRng = root.Derive("work")
+		if sp.Workload.Constrained != nil {
+			c.conRng = root.Derive("constraints")
+		}
+	}
+	ckEvery := time.Duration(sp.CheckpointIntervalS * float64(time.Second))
+	var strategy migrate.Strategy
+	switch inst.Migration {
+	case "none":
+	case "suspend":
+		c.stealth = loadbalance.NewStealth(migrateHi, migrateLo)
+		c.stealth.Attach(c.cl)
+	case "address-space":
+		strategy = migrate.AddressSpace{}
+	case "checkpoint":
+		c.ck = migrate.NewCheckpointer(ckEvery)
+		strategy = c.ck
+	case "recompile":
+		strategy = newRecompile()
+	case "adaptive":
+		c.ck = migrate.NewCheckpointer(ckEvery)
+		if strategy, err = migrate.NewPicker(migrate.AddressSpace{}, c.ck, newRecompile()); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("scenario: unknown migration strategy %q", inst.Migration)
+	}
+	if strategy != nil {
+		c.lb = loadbalance.NewVCEMigrate(migrateHi, migrateLo, idleBelow, strategy)
+		c.lb.Attach(c.cl)
+	}
+	return nil
+}
+
+// newRecompile builds the recompilation migration strategy.
+func newRecompile() *migrate.Recompile {
+	return &migrate.Recompile{Cost: compilemgr.CostModel{Base: 60 * time.Second, PerMiB: time.Second}}
+}
+
+// schedule seeds the kernel with the cell's events. The order — owner
+// steps, arrivals, the checkpoint ticker, the placement listener, faults,
+// the cancellation probe — is part of the result: same-instant events fire
+// in scheduling order.
+func (c *cell) schedule(done <-chan struct{}) {
+	ar, k := c.ar, c.cl.Sim
+	if c.sp.Owner != nil {
+		for mi := range ar.machines {
+			for si, s := range ar.ownerSteps[mi] {
+				k.At(s.At, ar.ownerFn(mi, si))
+			}
+		}
+	}
+	if c.streaming {
+		c.next()
+		// Streaming cells checkpoint on one cell-wide cadence over the
+		// live residents (see attach).
+		if c.ck != nil && c.sp.Workload.Checkpointable {
+			k.After(c.ck.Interval, c.fns.ckTick)
+		}
+	} else {
+		for i := range ar.gens {
+			// Slots hand out in ascending order, so record i is task i.
+			r := ar.pool.at(ar.pool.acquire())
+			// Only root tasks follow the arrival source; children arrive
+			// when their last parent completes (see onDone).
+			if c.dag {
+				if r.pending = int32(len(ar.parents[i])); r.pending > 0 {
+					continue
+				}
+			}
+			if ar.gens[i].arrival < c.horizon {
+				k.At(ar.gens[i].arrival, ar.arriveFn(i))
+			}
+		}
+	}
+	// Owner departures and repairs free machines: retry placement.
+	c.cl.OnChange(func(m *sim.Machine, _ time.Duration) {
+		if placeable(ar.down[m.Index()], m) {
+			c.tryPlace()
+		}
+	})
+	// Failure instants replay from the arena's cached fault schedule;
+	// repairs reconstruct as fail + DownS, preserving the fail/repair event
+	// interleaving.
+	if f := c.sp.Faults; f != nil {
+		downFor := time.Duration(f.DownS * float64(time.Second))
+		for mi := range ar.machines {
+			for _, at := range ar.faultAt[mi] {
+				k.At(at, ar.failFn(mi))
+				if at+downFor < c.horizon {
+					k.At(at+downFor, ar.repairFn(mi))
+				}
+			}
+		}
+	}
+	// A cancellable ctx installs a self-rescheduling probe that halts the
+	// kernel once ctx is done. Probes never touch world state or random
+	// streams, so indexes are unchanged when ctx survives; Background's nil
+	// Done channel skips them entirely.
+	if done != nil {
+		c.done = done
+		c.probeEvery = c.horizon / cancelProbes
+		if c.probeEvery <= 0 {
+			c.probeEvery = time.Millisecond
+		}
+		k.After(c.probeEvery, c.fns.probe)
+	}
+}
+
+// placeable reports whether a machine takes new placements: it is up and
+// its owner leaves it under the busy gate (the DAWGS idle-placement
+// discipline). Residents of other machines are the migration and
+// suspension policies' problem.
+func placeable(down bool, m *sim.Machine) bool { return !down && m.LocalLoad() < migrateHi }
+
+// item builds task ti's placement-queue entry. Its data-affinity site
+// rides along (see fail for the one requeue that drops it).
+func (c *cell) item(ti int, work float64) sched.Item {
+	r := c.ar.pool.at(ti)
+	cands := c.ar.allIDs
+	if r.constrained {
+		cands = c.ar.pinnedIDs
+	}
+	return sched.Item{Task: taskgraph.TaskID(r.ID), CandidateIDs: cands, Work: work, HomeSite: int(r.home)}
+}
+
+// submit queues task slot i with the draws g at the current instant and
+// runs placement.
+func (c *cell) submit(i int, g taskGen) {
+	r := c.ar.pool.at(i)
+	if err := r.Recycle(sim.Task{
+		ID:             r.ID,
+		Work:           g.work,
+		ImageBytes:     c.imageBytes,
+		Checkpointable: c.sp.Workload.Checkpointable,
+		OnDone:         c.fns.onDone,
+	}); err != nil {
+		// Impossible by construction: completion detaches the record
+		// before OnDone releases its slot, and Cluster.Reset detaches
+		// residents between cells.
+		panic(err)
+	}
+	r.queuedAt = c.cl.Sim.Now()
+	r.constrained = g.constrained
+	c.submitted++
+	c.waiting = append(c.waiting, c.item(i, g.work))
+	c.tryPlace()
+}
+
+// pump is the open-loop arrival event: it draws the arrival's work and
+// constraint, admits it unless the bounded queue is full, and schedules
+// the next arrival. The draws happen even for a refused arrival, so every
+// cell of the run consumes the derived streams identically whatever its
+// queue state.
+func (c *cell) pump() {
+	c.generated++
+	g := taskGen{work: c.sp.Workload.Work.Sample(c.workRng)}
+	g.constrained = c.conRng != nil && c.conRng.Bool(c.sp.Workload.Constrained.Fraction)
+	if limit := c.sp.Workload.QueueLimit; limit == 0 || len(c.waiting) < limit {
+		c.submit(c.ar.pool.acquire(), g)
+	}
+	c.next()
+}
+
+// next schedules the pump at the cursor's next instant, unless the task
+// cap is reached, the source is exhausted or the instant is past the
+// horizon.
+func (c *cell) next() {
+	if c.generated >= c.sp.Workload.Tasks {
+		return
+	}
+	if at, ok := c.cursor(); ok && at < c.horizon {
+		c.cl.Sim.At(at, c.fns.pump)
+	}
+}
+
+// tryPlace runs placement rounds until the queue settles. It is re-entered
+// through cluster change notifications (AddTask fires OnChange, which calls
+// tryPlace): the guard collapses re-entrant calls into one extra round
+// after the current one, so every round works from a fresh free-slot
+// snapshot and machines are never over-subscribed past their Slots.
+func (c *cell) tryPlace() {
+	if c.placing {
+		c.placeAgain = true
+		return
+	}
+	c.placing = true
+	for c.placeRound() {
+	}
+	c.placing = false
+	// The queue has settled for this event: record its depth for the
+	// time-weighted backlog integral.
+	c.acc.NoteQueueDepth(c.cl.Sim.Now(), len(c.waiting))
+}
+
+// placeRound places what it can of the waiting queue on a snapshot of the
+// placeable machines and lands the assignments. It reports whether a
+// re-entrant tryPlace asked for another round.
+func (c *cell) placeRound() bool {
+	c.placeAgain = false
+	if len(c.waiting) == 0 {
+		return false
+	}
+	// The snapshot loop visits every machine each round, so it runs on
+	// hoisted locals.
+	ar := c.ar
+	down, inflight, slots := ar.down, ar.inflight, ar.slots
+	states := c.states[:0]
+	for i, m := range ar.machines {
+		// In-transit deliveries (DAG data staging) reserve their slot up
+		// front, so a later placement round can't spend it.
+		free := slots[i] - m.RemoteTasks() - inflight[i]
+		if free <= 0 || !placeable(down[i], m) {
+			continue
+		}
+		states = append(states, sched.MachineState{Machine: m.Spec, Load: m.Load(), Slots: free, Index: m.Index()})
+	}
+	c.states = states
+	if len(states) == 0 {
+		return false
+	}
+	placed, left := c.pol.Place(c.waiting, states)
+	c.waiting = left
+	if c.loc != nil {
+		// Backpressure rejections leave the system here: dropped items are
+		// in neither output, so account them now.
+		for _, d := range c.loc.Dropped() {
+			c.acc.TaskRejected()
+			if c.streaming {
+				ar.pool.release(ar.pool.index[string(d.Task)])
+			}
+		}
+	}
+	for _, a := range placed {
+		ti, hi := ar.pool.index[string(a.Task)], a.Index
+		r := ar.pool.at(ti)
+		if delay := c.stageDelay(ti, hi); delay > 0 {
+			// Dependency data must cross the network first: hold the slot
+			// and deliver the task when the transfer lands.
+			c.notePlaced(r, hi)
+			c.xferWaitS += delay.Seconds()
+			inflight[hi]++
+			c.cl.Sim.After(delay, func() { c.deliver(ti, hi) })
+			continue
+		}
+		if err := ar.machines[hi].AddTask(&r.Task); err != nil {
+			// Placement raced a policy callback; requeue.
+			c.waiting = append(c.waiting, c.item(ti, r.Remaining()))
+			continue
+		}
+		c.notePlaced(r, hi)
+		c.attach(r)
+	}
+	return c.placeAgain
+}
+
+// stageDelay is the data-staging time a DAG placement of task ti on
+// machine hi pays before the task can start: the slowest transfer of the
+// edge payload from any parent's completion host over the actual network
+// link. Co-located parents (and root tasks) stage for free.
+func (c *cell) stageDelay(ti, hi int) time.Duration {
+	if !c.dag {
+		return 0
+	}
+	var d time.Duration
+	dst := c.ar.machines[hi].Name()
+	for _, p := range c.ar.parents[ti] {
+		ph := int(c.ar.pool.at(int(p)).ranOn)
+		if ph == hi {
+			continue
+		}
+		t, err := c.cl.Net.TransferTime(c.ar.machines[ph].Name(), dst, c.edgeBytes)
+		if err == nil && t > d {
+			d = t
+		}
+	}
+	return d
+}
+
+// notePlaced marks a task placed and, on its first placement, folds it
+// into the affinity accounting behind forwarded_pct.
+func (c *cell) notePlaced(r *taskRec, hi int) {
+	if r.home > 0 && !r.placed {
+		c.affine++
+		if c.topo.siteOf[hi]+1 != int(r.home) {
+			c.forwarded++
+		}
+	}
+	r.placed = true
+}
+
+// attach starts a closed cell's per-task checkpoint chain when a
+// checkpointable task first lands. Streaming cells checkpoint through
+// ckTick instead.
+func (c *cell) attach(r *taskRec) {
+	if c.ck != nil && r.Checkpointable && !c.streaming && !r.chained {
+		r.chained = true
+		_ = c.ck.Attach(c.cl, &r.Task)
+	}
+}
+
+// deliver lands a DAG task whose dependency transfer just finished: the
+// reserved slot converts into a real placement, unless the destination
+// failed or filled with owner work mid-transfer — then the task bounces
+// back to the queue for a fresh decision.
+func (c *cell) deliver(ti, hi int) {
+	c.ar.inflight[hi]--
+	r := c.ar.pool.at(ti)
+	m := c.ar.machines[hi]
+	if !placeable(c.ar.down[hi], m) || m.AddTask(&r.Task) != nil {
+		c.waiting = append(c.waiting, c.item(ti, r.Remaining()))
+		c.tryPlace() // the reservation just became real capacity
+		return
+	}
+	c.attach(r)
+}
+
+// onDone is every task's completion callback. It folds the completion into
+// the indexes, returns a streaming record to the pool and retries
+// placement. For DAG workloads it is also the dependency engine: it
+// records where the output data now lives, counts down each child's
+// parents and submits children whose last parent just finished.
+func (c *cell) onDone(t *sim.Task, at time.Duration) {
+	ar := c.ar
+	ti := ar.pool.index[t.ID]
+	r := ar.pool.at(ti)
+	if at < r.queuedAt && c.dagErr == nil {
+		c.dagErr = fmt.Errorf("scenario: %s run %d: task %s completed at %v before it was ready at %v",
+			c.inst.Key(), c.run, t.ID, at, r.queuedAt)
+	}
+	if host := t.DoneOn(); c.dag && host != nil {
+		r.ranOn = int32(host.Index())
+		for _, ci := range ar.children[ti] {
+			child := ar.pool.at(int(ci))
+			if child.pending--; child.pending == 0 {
+				if c.topo != nil {
+					child.home = int32(c.topo.siteOf[host.Index()]) + 1
+				}
+				c.submit(int(ci), ar.gens[ci])
+			}
+		}
+	}
+	c.acc.TaskDone(at, r.queuedAt, t.Work)
+	if c.streaming {
+		ar.pool.release(ti)
+	}
+	c.tryPlace()
+}
+
+// ckTick checkpoints every checkpointable resident and re-arms itself.
+func (c *cell) ckTick() {
+	for _, m := range c.ar.machines {
+		for _, t := range m.Tasks() {
+			if t.Checkpointable {
+				c.ck.CheckpointNow(c.cl, t)
+			}
+		}
+	}
+	c.cl.Sim.After(c.ck.Interval, c.fns.ckTick)
+}
+
+// fail takes machine mi down: its residents die and requeue to restart
+// from their last checkpoint (scratch if none).
+func (c *cell) fail(mi int) {
+	ar := c.ar
+	if ar.down[mi] {
+		return
+	}
+	ar.down[mi] = true
+	m := ar.machines[mi]
+	for _, victim := range m.Tasks() {
+		killed, err := m.Kill(victim.ID)
+		if err != nil {
+			continue
+		}
+		c.failed++
+		_ = killed.Rewind(killed.CheckpointedWork)
+		// A fault requeue re-places without data affinity; the corpus
+		// digest pins this.
+		it := c.item(ar.pool.index[killed.ID], killed.Remaining())
+		it.HomeSite = 0
+		c.waiting = append(c.waiting, it)
+	}
+	m.SetLocalLoad(1)
+	// Surviving machines may have free slots for the requeued victims;
+	// don't wait for an unrelated event.
+	c.tryPlace()
+}
+
+// repair hands machine mi back to its owner at the owner trace's current
+// level, not blanket idle, and retries placement.
+func (c *cell) repair(mi int) {
+	c.ar.down[mi] = false
+	c.ar.machines[mi].SetLocalLoad(c.ar.ownerLoad[mi])
+	c.tryPlace()
+}
+
+// probe halts the kernel once the run's context is done, else re-arms.
+func (c *cell) probe() {
+	select {
+	case <-c.done:
+		c.halted = true
+		c.cl.Sim.Halt()
+	default:
+		c.cl.Sim.After(c.probeEvery, c.fns.probe)
+	}
+}
+
+// measure finishes the run's accounting and returns its indexes.
+func (c *cell) measure() Indexes {
+	ar := c.ar
+	end := c.cl.Sim.Now()
+	// Rejected counts tasks that never got a placement: tasks never
+	// submitted, and submitted tasks still waiting for their first. Fault
+	// requeues stranded at the horizon were placed once and show up in
+	// Failed; locality drops were counted at drop time; tasks still staging
+	// data at the horizon were placed.
+	c.acc.rejected += c.sp.Workload.Tasks - c.submitted
+	for _, it := range c.waiting {
+		if !ar.pool.at(ar.pool.index[string(it.Task)]).placed {
+			c.acc.TaskRejected()
+		}
+	}
+	idx := Indexes{Failed: c.failed, XferWaitS: c.xferWaitS}
+	c.acc.Finalize(&idx, end, c.sp.Workload.Tasks)
+	if c.affine > 0 {
+		idx.ForwardedPct = 100 * float64(c.forwarded) / float64(c.affine)
+	}
+	if c.dag && ar.graphCP > 0 {
+		idx.CriticalPathStretch = idx.MakespanS / ar.graphCP
+	}
+	var util float64
+	for _, m := range ar.machines {
+		util += m.RemoteUtilization(end)
+	}
+	if len(ar.machines) > 0 {
+		idx.UtilizationPct = 100 * util / float64(len(ar.machines))
+	}
+	if c.lb != nil {
+		idx.Migrations = c.lb.Migrations
+		idx.Suspensions = c.lb.FallbackSuspends
+	}
+	if c.stealth != nil {
+		idx.Suspensions = c.stealth.Suspensions
+	}
+	return idx
 }
 
 // dist builds a metrics.Dist over a per-run index extracted by f.

@@ -13,9 +13,9 @@ import (
 )
 
 // WorkloadSource generates a run's arrival process. The engine resolves
-// `workload.arrivals.kind` against the source registry, so a new traffic
-// shape plugs in with RegisterWorkloadSource instead of editing the engine,
-// and validation errors enumerate the registered kinds programmatically.
+// `workload.arrivals.kind` against the fixed source table (sources), so a
+// new traffic shape is one table entry, and validation errors enumerate
+// the table's kinds programmatically.
 //
 // Sources come in two execution modes. A closed (eager) source — batch,
 // poisson — has its arrival instants materialized into the run's generated
@@ -25,7 +25,7 @@ import (
 // bounded pool and are recycled at completion, so a cell can absorb
 // millions of arrivals in memory independent of the task count.
 type WorkloadSource interface {
-	// Kind is the spec keyword this source registers under.
+	// Kind is the spec keyword that selects this source.
 	Kind() string
 	// Validate checks the arrival parameters. It sees the raw spec (defaults
 	// not yet applied); specName locates error messages.
@@ -44,30 +44,20 @@ type WorkloadSource interface {
 // ArrivalCursor yields successive arrival instants.
 type ArrivalCursor func() (at time.Duration, ok bool)
 
-// sourceRegistry maps arrival kinds to their sources; kinds keeps
-// registration order for stable error messages and docs.
-var sourceRegistry = map[string]WorkloadSource{}
-var sourceKinds []string
+// sources is the table of arrival kinds, in the order ArrivalKinds and
+// error messages list them.
+var sources = [...]WorkloadSource{batchSource{}, poissonSource{}, diurnalSource{}, traceSource{}}
 
-// RegisterWorkloadSource adds a source to the registry; duplicate kinds
-// panic (registration is init-time wiring, not a runtime condition).
-func RegisterWorkloadSource(s WorkloadSource) {
-	kind := s.Kind()
-	if _, dup := sourceRegistry[kind]; dup {
-		panic(fmt.Sprintf("scenario: duplicate workload source kind %q", kind))
-	}
-	sourceRegistry[kind] = s
-	sourceKinds = append(sourceKinds, kind)
-}
-
-// ArrivalKinds lists the registered arrival kinds in registration order.
+// ArrivalKinds lists the arrival kinds in table order.
 func ArrivalKinds() []string {
-	out := make([]string, len(sourceKinds))
-	copy(out, sourceKinds)
+	out := make([]string, len(sources))
+	for i, s := range sources {
+		out[i] = s.Kind()
+	}
 	return out
 }
 
-// WorkloadSourceFor resolves an arrival kind against the registry; "" means
+// WorkloadSourceFor resolves an arrival kind against the table; "" means
 // the batch default. It is the exported face of the lookup for tooling that
 // needs a source's properties (specgen checks Streaming to decide whether a
 // queue limit is meaningful).
@@ -80,19 +70,13 @@ func workloadSource(kind string) (WorkloadSource, error) {
 	if kind == "" {
 		kind = "batch"
 	}
-	s, ok := sourceRegistry[kind]
-	if !ok {
-		return nil, fmt.Errorf("unknown arrival kind %q (want one of %s)",
-			kind, strings.Join(ArrivalKinds(), ", "))
+	for _, s := range sources {
+		if s.Kind() == kind {
+			return s, nil
+		}
 	}
-	return s, nil
-}
-
-func init() {
-	RegisterWorkloadSource(batchSource{})
-	RegisterWorkloadSource(poissonSource{})
-	RegisterWorkloadSource(diurnalSource{})
-	RegisterWorkloadSource(traceSource{})
+	return nil, fmt.Errorf("unknown arrival kind %q (want one of %s)",
+		kind, strings.Join(ArrivalKinds(), ", "))
 }
 
 // ---- batch: everything at t=0 (the closed-workload default) ----

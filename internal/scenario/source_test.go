@@ -12,7 +12,7 @@ import (
 	"vce/internal/rng"
 )
 
-// TestWorkloadSourceRegistry: the registry resolves every registered kind,
+// TestWorkloadSourceRegistry: the source table resolves every kind,
 // defaults the empty kind to batch, and rejects unknown kinds with an error
 // that enumerates the valid set programmatically.
 func TestWorkloadSourceRegistry(t *testing.T) {

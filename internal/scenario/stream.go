@@ -34,10 +34,6 @@ type StreamingIndexes struct {
 	rejected      int
 }
 
-// Reset clears the accumulator for the next cell; all state is embedded, so
-// a reset accumulator is recycle-ready with no allocation.
-func (a *StreamingIndexes) Reset() { *a = StreamingIndexes{} }
-
 // TaskDone folds in one completion at virtual instant `at` of a task that
 // arrived at `arrival` with `work` units of total work. Slowdown is the
 // response-time ratio against a dedicated speed-1.0 machine — work units

@@ -37,9 +37,9 @@ func BenchmarkStreamingMillion(b *testing.B) {
 		// Live records are bounded by the admission queue plus the running
 		// tasks; the pool may additionally retain one completion's worth of
 		// slack per slot before recycling catches up.
-		if cap := sp.Workload.QueueLimit + 2*totalSlots; ar.poolPeak > cap {
+		if cap := sp.Workload.QueueLimit + 2*totalSlots; ar.pool.peak > cap {
 			b.Fatalf("task-pool peak %d exceeds the bounded-memory cap %d (queue %d + 2×%d slots) — streaming memory grew with the task count",
-				ar.poolPeak, cap, sp.Workload.QueueLimit, totalSlots)
+				ar.pool.peak, cap, sp.Workload.QueueLimit, totalSlots)
 		}
 		// Every offered task must be accounted: completed, rejected, or (for
 		// at most a slot-count's worth) still in flight at the horizon.
@@ -47,7 +47,7 @@ func BenchmarkStreamingMillion(b *testing.B) {
 			b.Fatalf("accounted %d of %d offered tasks (completed %d, rejected %d)",
 				got, sp.Workload.Tasks, idx.Completed, idx.Rejected)
 		}
-		b.ReportMetric(float64(ar.poolPeak), "pool-peak")
+		b.ReportMetric(float64(ar.pool.peak), "pool-peak")
 		b.ReportMetric(float64(idx.Completed), "completed")
 		b.StartTimer()
 	}

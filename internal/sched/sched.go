@@ -168,6 +168,12 @@ func (r *round) begin(machines []MachineState) {
 	}
 	r.placed = r.placed[:0]
 	r.flip ^= 1
+	if r.waiting[r.flip] == nil {
+		// A caller appends arrivals to the waiting output it got back; a
+		// nil buffer (a round that placed everything) would make each of
+		// those appends allocate.
+		r.waiting[r.flip] = make([]Item, 0, 8)
+	}
 	r.waiting[r.flip] = r.waiting[r.flip][:0]
 }
 
